@@ -22,9 +22,8 @@ from .citest import (
     cond_mutual_information,
     g2_test,
     set_ci,
-    set_independent,
 )
-from .data import ContingencyTable, Dataset, contingency, load_dataset
+from .data import Dataset, load_dataset
 from .discovery import (
     ClcdOutput,
     ThetaMatch,
@@ -90,7 +89,6 @@ __all__ = [
     "CiResult",
     "ClcdOutput",
     "CommonChoice",
-    "ContingencyTable",
     "Dataset",
     "DsepTester",
     "EquivalencePair",
@@ -111,7 +109,6 @@ __all__ = [
     "clcd_fs",
     "cond_mutual_information",
     "contains_equivalent_info",
-    "contingency",
     "delabel_pc",
     "dsep_oracle",
     "evaluate_theta",
@@ -145,7 +142,6 @@ __all__ = [
     "score_variables",
     "select_common",
     "set_ci",
-    "set_independent",
     "split_dataset",
     "theta_candidates",
     "write_benchmark_csv",

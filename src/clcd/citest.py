@@ -1,7 +1,11 @@
 """G² conditional-independence tests and plug-in conditional mutual information.
 
-Both quantities come out of one natural-log kernel, so the identity
-``G² = 2 n ln(2) I(X;Y|Z)`` holds to floating-point rounding by construction.
+There is one kernel. Every test folds each side and the conditioning set into
+mixed-radix codes (:func:`_fold`) and sums O·ln(O/E) over the resulting table
+(:func:`_nat_kernel`). :func:`g2_test` is :func:`set_ci` with singleton sides,
+so the two are the same test, and :func:`cond_mutual_information` reads the
+same sum, so ``G² = 2 n ln(2) I(X;Y|Z)`` holds to floating-point rounding by
+construction.
 """
 
 from __future__ import annotations
@@ -11,11 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, VariableId, _check_disjoint, stratum_index
+from .data import Dataset, VariableId
 from .special import chi2_sf
 
-# A single stratum never needs more cells than this; composite variable pairs
-# beyond the cap are reported unreliable instead of being materialized.
+# A stratum of a composite pair (a side with two or more variables) never
+# needs more cells than this; such pairs beyond the cap are reported
+# unreliable instead of being materialized. Singleton sides are never capped,
+# so a singleton set_ci is the same test as g2_test at every arity.
 MAX_CELLS_PER_STRATUM = 4096
 
 # Hard cap on the whole (strata x cells) work array. Tests large enough to
@@ -97,40 +103,27 @@ def _result_from_kernel(nat: float, dof: int, n_rows: int,
                     reliable=reliable, independent=independent)
 
 
-def g2_test(ds: Dataset, x: VariableId, y: VariableId, z=(),
-            cfg: CiConfig = CiConfig()) -> CiResult:
-    """Likelihood-ratio test of ``x ⊥ y | z`` on the dataset's counts.
+def _fold(ds: Dataset, vs: tuple[VariableId, ...]) -> tuple[np.ndarray, int]:
+    """Mixed-radix code of a variable set, first variable most significant.
 
-    The statistic is 2·Σ O·ln(O/E) within each stratum of z; dof counts, per
-    nonempty stratum, (r_x−1)(r_y−1) over values with nonzero marginals.
-    A test with fewer than ``reliability_h`` rows per dof (or dof 0) is
-    unreliable and reported independent.
+    Returns (code per row, number of states); the empty set has one state.
+    A single variable's code is its column itself, with no array work.
     """
-    zt = _check_disjoint(x, y, z)
-    zidx, n_strata = stratum_index(ds, zt)
-    rx, ry = ds.arity(x), ds.arity(y)
-    if min(n_strata, ds.n_rows) * rx * ry > _MAX_TABLE_CELLS:
-        return _unreliable()
-    nat, dof = _nat_kernel(ds.codes[x], rx, ds.codes[y], ry, zidx)
-    return _result_from_kernel(nat, dof, ds.n_rows, cfg)
-
-
-def _composite(ds: Dataset, vs: tuple[VariableId, ...]) -> tuple[np.ndarray, int]:
-    """Cartesian coding of a variable set; arity is the product of arities."""
-    arity = 1
-    code = np.zeros(ds.n_rows, dtype=np.int64)
-    for v in vs:
-        arity *= ds.arity(v)
-        if arity > 1 << 62:
+    if not vs:
+        return np.zeros(ds.n_rows, dtype=np.int64), 1
+    code, states = ds.codes[vs[0]], ds.arity(vs[0])
+    for v in vs[1:]:
+        states *= ds.arity(v)
+        if states > 1 << 62:
             raise ValueError("composite state space exceeds int64 coding")
         code = code * ds.arities[v] + ds.codes[v]
-    return code, arity
+    return code, states
 
 
 def _validate_sets(xs, ys, z) -> tuple[tuple, tuple, tuple]:
-    xt = tuple(sorted(int(v) for v in xs))
-    yt = tuple(sorted(int(v) for v in ys))
-    zt = tuple(sorted(int(v) for v in z))
+    xt = tuple(sorted(map(int, xs)))
+    yt = tuple(sorted(map(int, ys)))
+    zt = tuple(sorted(map(int, z)))
     if not xt or not yt:
         raise ValueError("variable sets must be nonempty")
     pool = xt + yt + zt
@@ -139,34 +132,42 @@ def _validate_sets(xs, ys, z) -> tuple[tuple, tuple, tuple]:
     return xt, yt, zt
 
 
+def g2_test(ds: Dataset, x: VariableId, y: VariableId, z=(),
+            cfg: CiConfig = CiConfig()) -> CiResult:
+    """Likelihood-ratio test of ``x ⊥ y | z`` on the dataset's counts.
+
+    The statistic is 2·Σ O·ln(O/E) within each stratum of z; dof counts, per
+    nonempty stratum, (r_x−1)(r_y−1) over values with nonzero marginals.
+    A test with fewer than ``reliability_h`` rows per dof (or dof 0) is
+    unreliable and reported independent. Same as ``set_ci(ds, [x], [y], z)``.
+    """
+    return set_ci(ds, (x,), (y,), z, cfg)
+
+
 def set_ci(ds: Dataset, xs, ys, z=(), cfg: CiConfig = CiConfig()) -> CiResult:
     """G² test between composite variables built from ``xs`` and ``ys``.
 
-    Singleton sets reduce exactly to :func:`g2_test`. Pairs whose composite
-    table would exceed MAX_CELLS_PER_STRATUM cells are reported unreliable.
+    Singleton sets are exactly :func:`g2_test`. When either side has two or
+    more variables and the composite table would exceed
+    MAX_CELLS_PER_STRATUM cells, the test is reported unreliable.
     """
     xt, yt, zt = _validate_sets(xs, ys, z)
-    xcode, rx = _composite(ds, xt)
-    ycode, ry = _composite(ds, yt)
-    if rx * ry > MAX_CELLS_PER_STRATUM:
+    xcode, rx = _fold(ds, xt)
+    ycode, ry = _fold(ds, yt)
+    if (len(xt) > 1 or len(yt) > 1) and rx * ry > MAX_CELLS_PER_STRATUM:
         return _unreliable()
-    zidx, n_strata = stratum_index(ds, zt)
+    zidx, n_strata = _fold(ds, zt)
     if min(n_strata, ds.n_rows) * rx * ry > _MAX_TABLE_CELLS:
         return _unreliable()
     nat, dof = _nat_kernel(xcode, rx, ycode, ry, zidx)
     return _result_from_kernel(nat, dof, ds.n_rows, cfg)
 
 
-def set_independent(ds: Dataset, xs, ys, z=(),
-                    cfg: CiConfig = CiConfig()) -> bool:
-    return set_ci(ds, xs, ys, z, cfg).independent
-
-
 def cond_mutual_information(ds: Dataset, xs, ys, z=()) -> float:
     """Plug-in estimate of I(xs; ys | z) in bits; tiny negatives clamp to 0."""
     xt, yt, zt = _validate_sets(xs, ys, z)
-    xcode, rx = _composite(ds, xt)
-    ycode, ry = _composite(ds, yt)
-    zidx, _ = stratum_index(ds, zt)
+    xcode, rx = _fold(ds, xt)
+    ycode, ry = _fold(ds, yt)
+    zidx, _ = _fold(ds, zt)
     nat, _ = _nat_kernel(xcode, rx, ycode, ry, zidx)
     return nat / (ds.n_rows * math.log(2.0))

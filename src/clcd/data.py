@@ -1,4 +1,4 @@
-"""Dataset container and contingency tables for discrete multi-label data."""
+"""Dataset container and CSV loading for discrete multi-label data."""
 
 from __future__ import annotations
 
@@ -79,58 +79,6 @@ class Dataset:
             return self.names.index(name)
         except ValueError:
             raise KeyError(f"unknown variable name: {name!r}") from None
-
-
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Dense co-occurrence counts of (x, y) within each configuration of z.
-
-    ``counts`` has shape (n_strata, arity(x), arity(y)) where the stratum
-    index folds z's codes most-significant-first in ascending variable order.
-    """
-
-    x: VariableId
-    y: VariableId
-    z: tuple[VariableId, ...]
-    counts: np.ndarray
-    n: int
-
-
-def _check_disjoint(x: VariableId, y: VariableId, z) -> tuple[int, ...]:
-    zt = tuple(sorted(int(v) for v in z))
-    if x == y:
-        raise ValueError("x and y must differ")
-    if x in zt or y in zt:
-        raise ValueError("conditioning set overlaps {x, y}")
-    if len(zt) != len(set(zt)):
-        raise ValueError("duplicate variable in conditioning set")
-    return zt
-
-
-def stratum_index(ds: Dataset, z: tuple[VariableId, ...]) -> tuple[np.ndarray, int]:
-    """Fold the z columns into one code per row; returns (index, n_strata)."""
-    n_strata = 1
-    idx = np.zeros(ds.n_rows, dtype=np.int64)
-    for v in z:
-        n_strata *= ds.arity(v)
-        if n_strata > 1 << 62:
-            raise ValueError("conditioning state space exceeds int64 coding")
-        idx = idx * ds.arities[v] + ds.codes[v]
-    return idx, n_strata
-
-
-def contingency(ds: Dataset, x: VariableId, y: VariableId,
-                z=()) -> ContingencyTable:
-    """Count co-occurrences of x and y within every configuration of z."""
-    zt = _check_disjoint(x, y, z)
-    rx, ry = ds.arity(x), ds.arity(y)
-    zidx, n_strata = stratum_index(ds, zt)
-    if n_strata * rx * ry > 1 << 26:
-        raise ValueError("contingency table too large to materialize")
-    flat = (zidx * rx + ds.codes[x]) * ry + ds.codes[y]
-    counts = np.bincount(flat, minlength=n_strata * rx * ry)
-    counts = counts.reshape(n_strata, rx, ry)
-    return ContingencyTable(x=x, y=y, z=zt, counts=counts, n=ds.n_rows)
 
 
 def load_dataset(csv_path, meta_path) -> Dataset:

@@ -235,7 +235,7 @@ def clcd(ds: Dataset, labels=None, cfg: CiConfig = CiConfig(),
     labels = sorted(labels)
     if len(labels) < 2:
         raise ValueError("need at least two labels")
-    if tester is None and workers <= 1:
+    if tester is None:
         tester = G2Tester(ds, cfg)
 
     structures = phase1_structures(ds, labels, cfg, tester, workers)

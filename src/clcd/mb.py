@@ -16,8 +16,9 @@ from .data import Dataset, VariableId
 class G2Tester:
     """Memoizing G² test provider bound to one dataset.
 
-    Cache keys normalize the symmetry of the test (x,y and y,x collapse),
-    so repeated subset scans over the same pool cost one test each.
+    ``ci`` and ``set_ci`` share one cache. Keys are the sorted sides, swapped
+    into order, plus the sorted conditioning set, so x,y and y,x collapse and
+    ``ci(x, y, z)`` and ``set_ci([y], [x], z)`` cost one test between them.
     """
 
     def __init__(self, ds: Dataset, cfg: CiConfig):
@@ -25,12 +26,11 @@ class G2Tester:
         self.cfg = cfg
         self.n_tests = 0
         self._cache: dict = {}
-        self._set_cache: dict = {}
 
     def ci(self, x: VariableId, y: VariableId, z=()) -> CiResult:
         if x > y:
             x, y = y, x
-        key = (x, y, tuple(sorted(z)))
+        key = ((x,), (y,), tuple(sorted(z)))
         result = self._cache.get(key)
         if result is None:
             result = g2_test(self.ds, x, y, key[2], self.cfg)
@@ -46,10 +46,10 @@ class G2Tester:
         if a > b:
             a, b = b, a
         key = (a, b, tuple(sorted(z)))
-        result = self._set_cache.get(key)
+        result = self._cache.get(key)
         if result is None:
             result = set_ci(self.ds, a, b, key[2], self.cfg)
-            self._set_cache[key] = result
+            self._cache[key] = result
             self.n_tests += 1
         return result
 

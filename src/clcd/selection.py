@@ -191,15 +191,13 @@ def clcd_fs(ds: Dataset, cfg: CiConfig = CiConfig(), max_z: int = 1,
     specific feature sets. Works for a single label too (no common sets).
     """
     labels = sorted(ds.labels)
-    if tester is None and workers <= 1:
+    if tester is None:
         tester = G2Tester(ds, cfg)
     structures = phase1_structures(ds, labels, cfg, tester=tester,
                                    workers=workers)
     if len(labels) > 1:
         phase2_retrieve(ds, labels, structures, cfg, max_z=max_z,
                         tester=tester)
-    if tester is None:
-        tester = G2Tester(ds, cfg)
     source_pc = {t: frozenset(structures[t].pc) for t in labels}
     for t in labels:
         delabel_pc(ds, t, structures, labels, cfg, tester=tester,

@@ -10,8 +10,8 @@ from clcd.citest import (
     cond_mutual_information,
     g2_test,
     set_ci,
-    set_independent,
 )
+from clcd.mb import G2Tester
 from conftest import build_dataset
 
 
@@ -134,6 +134,19 @@ def test_set_ci_singleton_reduces_to_g2():
     assert lhs == rhs
 
 
+def test_set_ci_singleton_equals_g2_past_cell_guard():
+    # 70 x 70 = 4900 cells exceeds the guard, which caps composite sides only.
+    rng = np.random.default_rng(13)
+    n = 3000
+    x = rng.integers(0, 70, n)
+    ds = build_dataset({"x": x, "y": (x + rng.integers(0, 3, n)) % 70},
+                       arities=[70, 70])
+    assert 70 * 70 > MAX_CELLS_PER_STRATUM
+    ref = g2_test(ds, 0, 1, cfg=CiConfig(reliability_h=0.5))
+    assert ref.dof > 0
+    assert set_ci(ds, [0], [1], cfg=CiConfig(reliability_h=0.5)) == ref
+
+
 def test_set_ci_rejects_overlap_and_empty():
     ds = build_dataset({"x": [0, 1], "y": [1, 0], "z": [0, 1]})
     with pytest.raises(ValueError, match="disjoint"):
@@ -159,11 +172,11 @@ def test_set_ci_cell_guard():
 
 def test_set_independent_wrapper():
     ds = build_dataset({"x": [0] * 10 + [1] * 10, "y": [0] * 10 + [1] * 10})
-    assert not set_independent(ds, [0], [1])
+    assert not G2Tester(ds, CiConfig()).set_independent([0], [1])
     rng = np.random.default_rng(5)
     ds2 = build_dataset(
         {"x": rng.integers(0, 2, 500), "y": rng.integers(0, 2, 500)})
-    assert set_independent(ds2, [0], [1])
+    assert G2Tester(ds2, CiConfig()).set_independent([0], [1])
 
 
 def test_cmi_nonnegative_and_bounded():

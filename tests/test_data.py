@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from clcd.data import Dataset, contingency, load_dataset, stratum_index
+from clcd.citest import CiConfig, _fold, g2_test
+from clcd.data import Dataset, load_dataset
 
 from conftest import build_dataset
 
@@ -39,21 +42,39 @@ def test_dataset_is_immutable():
 def test_stratum_index_orders_high_to_low():
     ds = build_dataset({"a": [0, 0, 1, 1], "b": [0, 1, 0, 1],
                         "y": [0, 0, 0, 0]}, labels={"y"})
-    idx, n = stratum_index(ds, (0, 1))
+    idx, n = _fold(ds, (0, 1))
     # variable 0 is the most significant digit
     assert n == 4
     assert idx.tolist() == [0, 1, 2, 3]
 
 
+def _g2_by_hand(strata):
+    """2·Σ O·ln(O/E) over nested [stratum][x][y] count lists."""
+    total = 0.0
+    for table in strata:
+        n = sum(map(sum, table))
+        rows = [sum(r) for r in table]
+        cols = [sum(c) for c in zip(*table)]
+        for i, r in enumerate(table):
+            for j, o in enumerate(r):
+                if o:
+                    total += o * math.log(o * n / (rows[i] * cols[j]))
+    return 2.0 * total
+
+
 def test_contingency_counts():
     ds = build_dataset({"a": [0, 0, 1, 1, 1], "b": [0, 1, 0, 1, 1],
                         "y": [0, 0, 0, 1, 1]}, labels={"y"})
-    table = contingency(ds, 0, 1)
-    assert table.counts.shape == (1, 2, 2)
-    assert table.counts[0].tolist() == [[1, 1], [1, 2]]
-    cond = contingency(ds, 0, 1, (2,))
-    assert cond.counts.shape == (2, 2, 2)
-    assert cond.counts.sum() == 5
+    cfg = CiConfig(reliability_h=0.1)
+    res = g2_test(ds, 0, 1, cfg=cfg)
+    assert res.statistic == pytest.approx(_g2_by_hand([[[1, 1], [1, 2]]]),
+                                          rel=1e-12)
+    assert res.dof == 1
+    # within y: [[1, 1], [1, 0]] at y=0 and a single filled cell at y=1
+    cond = g2_test(ds, 0, 1, (2,), cfg=cfg)
+    assert cond.statistic == pytest.approx(
+        _g2_by_hand([[[1, 1], [1, 0]], [[0, 0], [0, 2]]]), rel=1e-12)
+    assert cond.dof == 1
 
 
 def _write(tmp_path, name, text):

@@ -178,3 +178,21 @@ def test_g2_tester_caches():
     m = tester.n_tests
     tester.set_ci([1], [0], (2,))
     assert tester.n_tests == m
+
+
+def test_g2_tester_ci_and_set_ci_share_cache():
+    rng = np.random.default_rng(1)
+    from conftest import build_dataset
+    ds = build_dataset({"x": rng.integers(0, 3, 200),
+                        "y": rng.integers(0, 2, 200),
+                        "z": rng.integers(0, 2, 200)})
+    tester = G2Tester(ds, CiConfig())
+    r = tester.ci(0, 1, (2,))
+    assert tester.n_tests == 1
+    assert tester.set_ci([1], [0], (2,)) == r
+    assert tester.n_tests == 1
+    reverse = G2Tester(ds, CiConfig())
+    r = reverse.set_ci([1], [0], (2,))
+    assert reverse.n_tests == 1
+    assert reverse.ci(0, 1, (2,)) == r
+    assert reverse.n_tests == 1

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from clcd import special
 from clcd.special import chi2_sf, gammainc_upper
 
 # Reference survival values computed with mpmath.gammainc at 40 digits.
@@ -23,6 +24,34 @@ FROZEN = [
 def test_chi2_sf_frozen_points(x, k, expected):
     got = chi2_sf(x, k)
     assert got == pytest.approx(expected, rel=1e-10, abs=1e-300)
+
+
+# Large-dof references from mpmath.gammainc at 40 digits: at, below and above
+# the mean. Both gamma loops need far more than 600 terms at these dof.
+FROZEN_LARGE_DOF = [
+    (10000.0, 10**4, 0.49811936596618267),
+    (9576.0, 10**4, 0.9988046993872586),
+    (10707.0, 10**4, 5.022662219454257e-07),
+    (100000.0, 10**5, 0.4994052918952067),
+    (98658.0, 10**5, 0.9987059254937457),
+    (102236.0, 10**5, 3.443044010131275e-07),
+    (1000000.0, 10**6, 0.4998119368033945),
+    (995757.0, 10**6, 0.9986678827347266),
+    (1007071.0, 10**6, 3.0395577493697863e-07),
+]
+
+
+@pytest.mark.parametrize("x,k,expected", FROZEN_LARGE_DOF)
+def test_chi2_sf_large_dof(x, k, expected):
+    assert chi2_sf(x, k) == pytest.approx(expected, rel=2e-9)
+
+
+def test_unconverged_loops_raise(monkeypatch):
+    monkeypatch.setattr(special, "_budget", lambda a: 5)
+    with pytest.raises(ArithmeticError, match="series"):
+        chi2_sf(100.0, 100)
+    with pytest.raises(ArithmeticError, match="continued fraction"):
+        chi2_sf(110.0, 100)
 
 
 def test_chi2_sf_edge_cases():
