@@ -51,12 +51,11 @@ def intersection_common(mbs: dict, labels) -> dict:
     return common
 
 
-def run_algorithm(name: str, ds, cfg: CiConfig = CiConfig(), max_z: int = 1,
-                  workers: int = 1):
+def run_algorithm(name: str, ds, cfg: CiConfig = CiConfig(), max_z: int = 1):
     """Run one algorithm; returns (common dict, specific dict)."""
     labels = sorted(ds.labels)
     if name == "clcd":
-        out = clcd(ds, cfg=cfg, max_z=max_z, workers=workers)
+        out = clcd(ds, cfg=cfg, max_z=max_z)
         return dict(out.ccv), dict(out.tcv)
     if name not in ("hiton-intersect", "iamb-intersect"):
         raise ValueError(f"unknown algorithm: {name}")
@@ -85,6 +84,7 @@ def run_benchmark(template: GenConfig, p_c_grid, p_m_grid,
     so comparisons are paired. Generation or scoring never consumes the
     discovery algorithms' RNG (they have none); replicate r of a cell uses
     ``rep_seed(template.seed, r)`` for both network and sample draws.
+    ``workers`` is accepted for old callers and manifests, and is ignored.
     """
     rows: list = []
     details: list = []
@@ -102,7 +102,7 @@ def run_benchmark(template: GenConfig, p_c_grid, p_m_grid,
             for seed, ds, truth in datasets:
                 start = time.perf_counter()
                 common, specific = run_algorithm(name, ds, cfg=cfg,
-                                                 max_z=max_z, workers=workers)
+                                                 max_z=max_z)
                 elapsed = time.perf_counter() - start
                 times.append(elapsed)
                 scores = score_variables(common, specific, truth)

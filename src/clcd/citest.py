@@ -6,6 +6,12 @@ mixed-radix codes (:func:`_fold`) and sums O·ln(O/E) over the resulting table
 so the two are the same test, and :func:`cond_mutual_information` reads the
 same sum, so ``G² = 2 n ln(2) I(X;Y|Z)`` holds to floating-point rounding by
 construction.
+
+Each count table is built in O(n) by one ``np.bincount`` and is dense by
+stratum code. Only a table that would have more cells than the data has rows
+is compacted first, keeping only the observed strata in code order. Empty
+strata add nothing to the statistic or the dof, so both tables give
+identical bits.
 """
 
 from __future__ import annotations
@@ -66,20 +72,31 @@ def _unreliable() -> CiResult:
 
 
 def _nat_kernel(xcode: np.ndarray, rx: int, ycode: np.ndarray, ry: int,
-                zidx: np.ndarray) -> tuple[float, int]:
+                zidx: np.ndarray | None, n_strata: int) -> tuple[float, int]:
     """Sum of O·ln(O·N_s / (row·col)) over strata, plus the adjusted dof.
 
-    ``zidx`` is a per-row stratum code; only observed strata are counted,
-    which changes nothing (empty strata contribute zero to both outputs).
+    ``zidx`` is a per-row stratum code below ``n_strata``, or None for the
+    empty conditioning set (one stratum). The counts come from one bincount
+    into a table indexed directly by stratum code, so no sort is needed. Only
+    when that table would have more cells than there are rows are the
+    observed strata first compacted, in code order, by ``np.unique``. Empty
+    strata have no nonzero cell and no nonzero marginal, so they add nothing
+    to either output, and the nonzero cells appear in the same C order either
+    way: both tables give identical bits.
     """
-    _, zinv = np.unique(zidx, return_inverse=True)
-    nz = int(zinv.max()) + 1 if len(zinv) else 1
-    flat = (zinv * rx + xcode) * ry + ycode
-    counts = np.bincount(flat, minlength=nz * rx * ry).reshape(nz, rx, ry)
+    cells = rx * ry
+    flat = xcode * ry + ycode
+    if zidx is not None:
+        if n_strata * cells > len(flat):
+            strata, zidx = np.unique(zidx, return_inverse=True)
+            n_strata = len(strata)
+        flat += zidx * cells
+    counts = np.bincount(flat, minlength=n_strata * cells).reshape(
+        n_strata, rx, ry)
 
-    totals = counts.sum(axis=(1, 2), keepdims=True)
     rows = counts.sum(axis=2, keepdims=True)
     cols = counts.sum(axis=1, keepdims=True)
+    totals = rows.sum(axis=1, keepdims=True)
 
     mask = counts > 0
     o = counts[mask].astype(np.float64)
@@ -89,7 +106,7 @@ def _nat_kernel(xcode: np.ndarray, rx: int, ycode: np.ndarray, ry: int,
     # Per-stratum value counts with nonzero marginals; empty strata clip to 0.
     rx_eff = (rows > 0).sum(axis=1).ravel()
     ry_eff = (cols > 0).sum(axis=2).ravel()
-    dof = int(((rx_eff - 1).clip(min=0) * (ry_eff - 1).clip(min=0)).sum())
+    dof = int(np.maximum(rx_eff - 1, 0) @ np.maximum(ry_eff - 1, 0))
     return max(nat, 0.0), dof
 
 
@@ -103,14 +120,16 @@ def _result_from_kernel(nat: float, dof: int, n_rows: int,
                     reliable=reliable, independent=independent)
 
 
-def _fold(ds: Dataset, vs: tuple[VariableId, ...]) -> tuple[np.ndarray, int]:
+def _fold(ds: Dataset,
+          vs: tuple[VariableId, ...]) -> tuple[np.ndarray | None, int]:
     """Mixed-radix code of a variable set, first variable most significant.
 
-    Returns (code per row, number of states); the empty set has one state.
-    A single variable's code is its column itself, with no array work.
+    Returns (code per row, number of states). The empty set has one state
+    and no code array (None). A single variable's code is its column itself,
+    with no array work.
     """
     if not vs:
-        return np.zeros(ds.n_rows, dtype=np.int64), 1
+        return None, 1
     code, states = ds.codes[vs[0]], ds.arity(vs[0])
     for v in vs[1:]:
         states *= ds.arity(v)
@@ -159,7 +178,7 @@ def set_ci(ds: Dataset, xs, ys, z=(), cfg: CiConfig = CiConfig()) -> CiResult:
     zidx, n_strata = _fold(ds, zt)
     if min(n_strata, ds.n_rows) * rx * ry > _MAX_TABLE_CELLS:
         return _unreliable()
-    nat, dof = _nat_kernel(xcode, rx, ycode, ry, zidx)
+    nat, dof = _nat_kernel(xcode, rx, ycode, ry, zidx, n_strata)
     return _result_from_kernel(nat, dof, ds.n_rows, cfg)
 
 
@@ -168,6 +187,6 @@ def cond_mutual_information(ds: Dataset, xs, ys, z=()) -> float:
     xt, yt, zt = _validate_sets(xs, ys, z)
     xcode, rx = _fold(ds, xt)
     ycode, ry = _fold(ds, yt)
-    zidx, _ = _fold(ds, zt)
-    nat, _ = _nat_kernel(xcode, rx, ycode, ry, zidx)
+    zidx, n_strata = _fold(ds, zt)
+    nat, _ = _nat_kernel(xcode, rx, ycode, ry, zidx, n_strata)
     return nat / (ds.n_rows * math.log(2.0))

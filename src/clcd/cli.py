@@ -44,6 +44,9 @@ log = logging.getLogger("clcd")
 
 _STREAMS = {"generate": 0, "sample": 1, "split": 2}
 
+# Runs are serial; the flag stays so that manifests that pass it still replay.
+_WORKERS_HELP = "accepted for old manifests and ignored"
+
 
 def substream(seed: int, name: str) -> int:
     """Independent child seed for one pipeline stage of a run."""
@@ -197,7 +200,7 @@ def cmd_discover(args, argv) -> int:
     cfg = CiConfig(alpha=args.alpha, max_cond_size=args.max_cond)
     names = ds.names
     if args.algo == "clcd":
-        result = clcd(ds, cfg=cfg, max_z=args.max_z, workers=args.workers)
+        result = clcd(ds, cfg=cfg, max_z=args.max_z)
         doc = {
             "algorithm": "clcd",
             "common": _common_doc(result.ccv, names),
@@ -215,8 +218,7 @@ def cmd_discover(args, argv) -> int:
         }
     else:
         common, specific = run_algorithm(args.algo, ds, cfg=cfg,
-                                         max_z=args.max_z,
-                                         workers=args.workers)
+                                         max_z=args.max_z)
         doc = {
             "algorithm": args.algo,
             "common": _common_doc(common, names),
@@ -239,7 +241,7 @@ def cmd_select(args, argv) -> int:
     ds = load_dataset(args.data, args.meta)
     cfg = CiConfig(alpha=args.alpha, max_cond_size=args.max_cond)
     names = ds.names
-    result = clcd_fs(ds, cfg=cfg, max_z=args.max_z, workers=args.workers)
+    result = clcd_fs(ds, cfg=cfg, max_z=args.max_z)
 
     common_as_dict: dict = {}
     for choice in result.common:
@@ -390,8 +392,7 @@ def cmd_bench(args, argv) -> int:
         algorithms=algorithms,
         n_seeds=args.seeds,
         cfg=cfg,
-        max_z=sweep.get("max_z", 1),
-        workers=args.workers)
+        max_z=sweep.get("max_z", 1))
     out = RunOutputs(args.out)
     out.add("report.csv", render_benchmark_csv(rows))
     out.add("details.json", _dump_json(details))
@@ -455,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cond", type=int, default=3)
     p.add_argument("--algo", default="clcd",
                    choices=("clcd", "hiton-intersect", "iamb-intersect"))
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_discover)
 
@@ -465,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--max-z", type=int, default=1)
     p.add_argument("--max-cond", type=int, default=3)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_select)
 
@@ -483,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="benchmark sweep described by a JSON file")
     p.add_argument("--sweep", required=True)
     p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
 

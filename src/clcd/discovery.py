@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .citest import CiConfig
@@ -64,25 +63,13 @@ def _all_candidates(ds: Dataset, target: VariableId) -> set:
     return set(range(ds.n_vars)) - {target}
 
 
-def _phase1_task(args):
-    ds, target, cfg, symmetric = args
-    structure = hiton_mb(ds, target, _all_candidates(ds, target), cfg,
-                         symmetric=symmetric)
-    return target, structure
-
-
 def phase1_structures(ds: Dataset, labels, cfg: CiConfig, tester=None,
-                      workers: int = 1, symmetric: bool = False) -> dict:
+                      symmetric: bool = False) -> dict:
     """Learn a local structure for every label over all other variables."""
-    labels = sorted(labels)
-    if workers > 1:
-        tasks = [(ds, t, cfg, symmetric) for t in labels]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return dict(pool.map(_phase1_task, tasks))
     if tester is None:
         tester = G2Tester(ds, cfg)
     return {t: hiton_mb(ds, t, _all_candidates(ds, t), cfg, tester,
-                        symmetric) for t in labels}
+                        symmetric) for t in sorted(labels)}
 
 
 def phase2_retrieve(ds: Dataset, labels, structures: dict, cfg: CiConfig,
@@ -140,39 +127,23 @@ def _phase2_admits(tester, z, t_i, t_j, st, cfg) -> bool:
     return True
 
 
-def _phase3_task(args):
-    ds, x, pc_x, cfg, max_z = args
-    tester = G2Tester(ds, cfg)
-    if pc_x is None:
-        pc_x, _ = hiton_pc(ds, x, _all_candidates(ds, x), cfg, tester)
-    pool = [f for f in ds.features if f != x and f not in pc_x]
-    return x, find_equivalences(ds, x, pc_x, pool, cfg, max_z, tester)
-
-
 def phase3_equivalences(ds: Dataset, labels, structures: dict, cfg: CiConfig,
-                        max_z: int = 1, tester=None, workers: int = 1) -> dict:
+                        max_z: int = 1, tester=None) -> dict:
     """Equivalence scan over labels and every recorded spouse child.
 
     The PC of a non-label child is learned on demand. External sides are
     drawn from features only, so no label can enter a common-variable set.
     """
-    label_set = set(labels)
-    targets = sorted(labels)
-    children = sorted({c for t in labels
-                       for c in structures[t].spouse_children} - label_set)
-    tasks = []
-    for x in targets + children:
-        pc = set(structures[x].pc) if x in structures else None
-        tasks.append((ds, x, pc, cfg, max_z))
-
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return dict(pool.map(_phase3_task, tasks))
     if tester is None:
         tester = G2Tester(ds, cfg)
+    label_set = set(labels)
+    children = sorted({c for t in labels
+                       for c in structures[t].spouse_children} - label_set)
     out = {}
-    for _, x, pc, _, _ in tasks:
-        if pc is None:
+    for x in sorted(labels) + children:
+        if x in structures:
+            pc = set(structures[x].pc)
+        else:
             pc, _sepsets = hiton_pc(ds, x, _all_candidates(ds, x), cfg, tester)
         scan = [f for f in ds.features if f != x and f not in pc]
         out[x] = find_equivalences(ds, x, pc, scan, cfg, max_z, tester)
@@ -228,7 +199,9 @@ def clcd(ds: Dataset, labels=None, cfg: CiConfig = CiConfig(),
     ``ccv`` is keyed by each candidate's maximal satisfied label set; any
     subset query is answered by :meth:`ClcdOutput.common_for`. ``tcv`` holds
     the per-label boundary members not claimed by any covering common set.
-    ``phase2=False`` skips the retrieval phase (ablation switch).
+    ``phase2=False`` skips the retrieval phase (ablation switch). ``workers``
+    is accepted so that old callers and manifests still run, and is ignored:
+    every phase runs serially on the one tester.
     """
     if labels is None:
         labels = ds.labels
@@ -238,11 +211,10 @@ def clcd(ds: Dataset, labels=None, cfg: CiConfig = CiConfig(),
     if tester is None:
         tester = G2Tester(ds, cfg)
 
-    structures = phase1_structures(ds, labels, cfg, tester, workers)
+    structures = phase1_structures(ds, labels, cfg, tester)
     if phase2:
         phase2_retrieve(ds, labels, structures, cfg, max_z, tester)
-    ei = phase3_equivalences(ds, labels, structures, cfg, max_z, tester,
-                             workers)
+    ei = phase3_equivalences(ds, labels, structures, cfg, max_z, tester)
 
     label_set = set(labels)
     ccv: dict = {}

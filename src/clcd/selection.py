@@ -189,12 +189,12 @@ def clcd_fs(ds: Dataset, cfg: CiConfig = CiConfig(), max_z: int = 1,
     Runs local discovery and cross-label retrieval, delabels every boundary,
     mines equivalences over the delabeled structures, then picks common and
     specific feature sets. Works for a single label too (no common sets).
+    ``workers`` is accepted for old callers and manifests, and is ignored.
     """
     labels = sorted(ds.labels)
     if tester is None:
         tester = G2Tester(ds, cfg)
-    structures = phase1_structures(ds, labels, cfg, tester=tester,
-                                   workers=workers)
+    structures = phase1_structures(ds, labels, cfg, tester=tester)
     if len(labels) > 1:
         phase2_retrieve(ds, labels, structures, cfg, max_z=max_z,
                         tester=tester)
@@ -203,5 +203,5 @@ def clcd_fs(ds: Dataset, cfg: CiConfig = CiConfig(), max_z: int = 1,
         delabel_pc(ds, t, structures, labels, cfg, tester=tester,
                    source_pc=source_pc)
     ei = phase3_equivalences(ds, labels, structures, cfg, max_z=max_z,
-                             tester=tester, workers=workers)
+                             tester=tester)
     return select_common(ds, labels, structures, ei, cfg)

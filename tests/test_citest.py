@@ -1,12 +1,17 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clcd.citest import (
     MAX_CELLS_PER_STRATUM,
     CiConfig,
     CiResult,
+    _fold,
+    _nat_kernel,
     cond_mutual_information,
     g2_test,
     set_ci,
@@ -84,6 +89,68 @@ def test_dof_skips_empty_strata_and_zero_marginals():
     # stratum z=1: x has 2 values, y has 2 observed values -> 1
     # stratum z=2: empty -> 0
     assert res.dof == 2
+
+
+def _g2_by_counting(x, y, zrows):
+    """Reference G² and dof from cell counts kept in a Python dict."""
+    cells = Counter(zip(zrows, x, y))
+    strata = Counter(zrows)
+    rows = Counter(zip(zrows, x))
+    cols = Counter(zip(zrows, y))
+    g2 = 2.0 * sum(o * math.log(o * strata[s] / (rows[s, a] * cols[s, b]))
+                   for (s, a, b), o in cells.items())
+    dof = sum((len({a for t, a in rows if t == s}) - 1)
+              * (len({b for t, b in cols if t == s}) - 1) for s in strata)
+    return max(g2, 0.0), dof
+
+
+@st.composite
+def _small_tables(draw):
+    n = draw(st.integers(1, 60))
+    arities = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+    columns = [draw(st.lists(st.integers(0, a - 1), min_size=n, max_size=n))
+               for a in arities]
+    return arities, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_tables())
+def test_g2_matches_dict_count_reference(table):
+    # Up to 3 z columns of arity <= 4 over <= 60 rows: the stratum table is
+    # dense when it fits in n_rows cells and compacted when it does not.
+    arities, columns = table
+    ds = build_dataset({f"v{i}": c for i, c in enumerate(columns)},
+                       arities=arities)
+    z = tuple(range(2, len(columns)))
+    res = g2_test(ds, 0, 1, z)
+    zrows = list(zip(*columns[2:])) or [()] * len(columns[0])
+    g2, dof = _g2_by_counting(columns[0], columns[1], zrows)
+    assert res.dof == dof
+    assert res.statistic == pytest.approx(g2, rel=1e-12, abs=1e-12)
+
+
+def test_kernel_dense_and_compacted_strata_are_bit_identical():
+    # z columns declare arity 5 but only ever take the values 0 and 4, so raw
+    # codes leave empty strata; at |z|=4 (625 strata x 4 cells > 2000
+    # rows) raw codes take the compacting branch while the compacted codes
+    # (at most 16 strata) still fit the dense table.
+    rng = np.random.default_rng(17)
+    n = 2000
+    x = rng.integers(0, 2, n)
+    cols = {"x": x, "y": (x + (rng.random(n) < 0.3)) % 2}
+    for i in range(4):
+        cols[f"z{i}"] = 4 * ((x + (rng.random(n) < 0.2 + 0.1 * i)) % 2)
+    ds = build_dataset(cols, arities=[2, 2, 5, 5, 5, 5])
+    xcode, rx = _fold(ds, (0,))
+    ycode, ry = _fold(ds, (1,))
+    for k in range(5):
+        zidx, n_strata = _fold(ds, tuple(range(2, 2 + k)))
+        raw = np.zeros(n, dtype=np.int64) if zidx is None else zidx
+        observed, compact = np.unique(raw, return_inverse=True)
+        got = _nat_kernel(xcode, rx, ycode, ry, zidx, n_strata)
+        ref = _nat_kernel(xcode, rx, ycode, ry, compact, len(observed))
+        assert got == ref
+        assert got[1] > 0
 
 
 def test_unreliable_when_rows_scarce():

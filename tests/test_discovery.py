@@ -14,7 +14,7 @@ from clcd.discovery import (
 )
 from clcd.equivalence import EquivalencePair
 from clcd.mb import LocalStructure
-from clcd.synth import BayesNet, GenConfig, generate, sample
+from clcd.synth import BayesNet, DsepTester, GenConfig, generate, sample
 from conftest import bsc, xor_labels_net
 
 
@@ -168,5 +168,19 @@ def test_clcd_workers_match_serial():
     assert serial.ccv == parallel.ccv
     assert serial.tcv == parallel.tcv
     for t in (1, 2):
+        assert serial.structures[t].pc == parallel.structures[t].pc
+        assert serial.structures[t].spouses == parallel.structures[t].spouses
+
+
+def test_clcd_workers_keep_the_given_tester():
+    # The d-separation oracle must answer every phase whatever ``workers`` is.
+    net, _ = generate(GenConfig(3, 25, p_m=1.0, seed=3))
+    ds = sample(net, 400, 0)
+    cfg = CiConfig()
+    serial = clcd(ds, tester=DsepTester(net, cfg), workers=1)
+    parallel = clcd(ds, tester=DsepTester(net, cfg), workers=2)
+    assert serial.ccv == parallel.ccv
+    assert serial.tcv == parallel.tcv
+    for t in serial.structures:
         assert serial.structures[t].pc == parallel.structures[t].pc
         assert serial.structures[t].spouses == parallel.structures[t].spouses
