@@ -7,11 +7,11 @@ so the two are the same test, and :func:`cond_mutual_information` reads the
 same sum, so ``G² = 2 n ln(2) I(X;Y|Z)`` holds to floating-point rounding by
 construction.
 
-Each count table is built in O(n) by one ``np.bincount`` and is dense by
-stratum code. Only a table that would have more cells than the data has rows
-is compacted first, keeping only the observed strata in code order. Empty
-strata add nothing to the statistic or the dof, so both tables give
-identical bits.
+Each count table is built in O(n) by one ``np.bincount``, stratum-minor
+(shape ``(rx, ry, n_strata)``), so every marginal sum runs over contiguous
+strata. Only a table with more cells than the data has rows is compacted
+first, to the observed strata in code order. Cells are read back in (stratum,
+x, y) order and empty strata add nothing, so every table gives identical bits.
 """
 
 from __future__ import annotations
@@ -76,13 +76,12 @@ def _nat_kernel(xcode: np.ndarray, rx: int, ycode: np.ndarray, ry: int,
     """Sum of O·ln(O·N_s / (row·col)) over strata, plus the adjusted dof.
 
     ``zidx`` is a per-row stratum code below ``n_strata``, or None for the
-    empty conditioning set (one stratum). The counts come from one bincount
-    into a table indexed directly by stratum code, so no sort is needed. Only
-    when that table would have more cells than there are rows are the
-    observed strata first compacted, in code order, by ``np.unique``. Empty
-    strata have no nonzero cell and no nonzero marginal, so they add nothing
-    to either output, and the nonzero cells appear in the same C order either
-    way: both tables give identical bits.
+    empty conditioning set (one stratum). One bincount, with no sort, fills a
+    stratum-minor table, cell ``(x·ry + y)·n_strata + s``; if it would have
+    more cells than there are rows, ``np.unique`` first compacts the observed
+    strata in code order. Nonzero cells and their expected counts are read in
+    (stratum, x, y) order and empty strata have no nonzero cell or marginal,
+    so the sum adds the same terms in the same order: identical bits.
     """
     cells = rx * ry
     flat = xcode * ry + ycode
@@ -90,23 +89,23 @@ def _nat_kernel(xcode: np.ndarray, rx: int, ycode: np.ndarray, ry: int,
         if n_strata * cells > len(flat):
             strata, zidx = np.unique(zidx, return_inverse=True)
             n_strata = len(strata)
-        flat += zidx * cells
-    counts = np.bincount(flat, minlength=n_strata * cells).reshape(
-        n_strata, rx, ry)
+        flat *= n_strata
+        flat += zidx
+    counts = np.bincount(flat, minlength=cells * n_strata).reshape(
+        rx, ry, n_strata)
 
-    rows = counts.sum(axis=2, keepdims=True)
-    cols = counts.sum(axis=1, keepdims=True)
-    totals = rows.sum(axis=1, keepdims=True)
+    rows = counts.sum(axis=1)
+    cols = counts.sum(axis=0)
+    totals = rows.sum(axis=0)
 
-    mask = counts > 0
-    o = counts[mask].astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        expected = rows * cols / totals  # empty strata yield NaN, masked out
-    nat = float((o * np.log(o / expected[mask])).sum()) if o.size else 0.0
-    # Per-stratum value counts with nonzero marginals; empty strata clip to 0.
-    rx_eff = (rows > 0).sum(axis=1).ravel()
-    ry_eff = (cols > 0).sum(axis=2).ravel()
-    dof = int(np.maximum(rx_eff - 1, 0) @ np.maximum(ry_eff - 1, 0))
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN: empty strata
+        expected = (rows[:, None] * cols / totals).transpose(2, 0, 1).ravel()
+    counts = counts.transpose(2, 0, 1).ravel()  # (stratum, x, y) order
+    nonzero = counts.nonzero()[0]
+    o = counts[nonzero]  # int64 counts convert exactly inside the float ops
+    nat = float((o * np.log(o / expected[nonzero])).sum())
+    # Per-stratum values with nonzero marginals; one clip zeroes empty strata.
+    dof = int(np.maximum((rows > 0).sum(0) - 1, 0) @ ((cols > 0).sum(0) - 1))
     return max(nat, 0.0), dof
 
 
@@ -126,16 +125,17 @@ def _fold(ds: Dataset,
 
     Returns (code per row, number of states). The empty set has one state
     and no code array (None). A single variable's code is its column itself,
-    with no array work.
+    with no array work; a longer set folds into one new buffer.
     """
     if not vs:
         return None, 1
     code, states = ds.codes[vs[0]], ds.arity(vs[0])
-    for v in vs[1:]:
+    for i, v in enumerate(vs[1:]):
         states *= ds.arity(v)
         if states > 1 << 62:
             raise ValueError("composite state space exceeds int64 coding")
-        code = code * ds.arities[v] + ds.codes[v]
+        code = np.multiply(code, ds.arity(v), out=code if i else None)
+        code += ds.codes[v]
     return code, states
 
 
@@ -188,5 +188,7 @@ def cond_mutual_information(ds: Dataset, xs, ys, z=()) -> float:
     xcode, rx = _fold(ds, xt)
     ycode, ry = _fold(ds, yt)
     zidx, n_strata = _fold(ds, zt)
+    if min(n_strata, ds.n_rows) * rx * ry > _MAX_TABLE_CELLS:
+        raise ValueError("count table exceeds _MAX_TABLE_CELLS cells")
     nat, _ = _nat_kernel(xcode, rx, ycode, ry, zidx, n_strata)
     return nat / (ds.n_rows * math.log(2.0))

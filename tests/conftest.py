@@ -22,6 +22,13 @@ def build_dataset(columns, labels=None, arities=None):
                    is_label=is_label, names=names)
 
 
+def permute_rows(ds, seed):
+    """The same Dataset with its rows in a seeded random order."""
+    perm = np.random.default_rng(seed).permutation(ds.n_rows)
+    return Dataset(codes=ds.codes[:, perm], arities=ds.arities,
+                   is_label=ds.is_label, names=ds.names)
+
+
 def bsc(flip):
     """Binary symmetric channel CPT: row per parent value."""
     return np.array([[1 - flip, flip], [flip, 1 - flip]])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clcd import citest
 from clcd.citest import (
     MAX_CELLS_PER_STRATUM,
     CiConfig,
@@ -17,7 +18,8 @@ from clcd.citest import (
     set_ci,
 )
 from clcd.mb import G2Tester
-from conftest import build_dataset
+from clcd.synth import GenConfig, generate, sample
+from conftest import build_dataset, permute_rows
 
 
 def test_config_validation():
@@ -151,6 +153,81 @@ def test_kernel_dense_and_compacted_strata_are_bit_identical():
         ref = _nat_kernel(xcode, rx, ycode, ry, compact, len(observed))
         assert got == ref
         assert got[1] > 0
+
+
+def _stratum_major_reference(xcode, rx, ycode, ry, zidx, n_strata):
+    """The kernel as a stratum-major ``(S, rx, ry)`` table, read in C order."""
+    cells = rx * ry
+    flat = xcode * ry + ycode
+    if zidx is not None:
+        if n_strata * cells > len(flat):
+            strata, zidx = np.unique(zidx, return_inverse=True)
+            n_strata = len(strata)
+        flat += zidx * cells
+    counts = np.bincount(flat, minlength=n_strata * cells).reshape(
+        n_strata, rx, ry)
+
+    rows = counts.sum(axis=2, keepdims=True)
+    cols = counts.sum(axis=1, keepdims=True)
+    totals = rows.sum(axis=1, keepdims=True)
+
+    mask = counts > 0
+    o = counts[mask].astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = rows * cols / totals  # empty strata yield NaN, masked out
+    nat = float((o * np.log(o / expected[mask])).sum()) if o.size else 0.0
+    rx_eff = (rows > 0).sum(axis=1).ravel()
+    ry_eff = (cols > 0).sum(axis=2).ravel()
+    dof = int(np.maximum(rx_eff - 1, 0) @ np.maximum(ry_eff - 1, 0))
+    return max(nat, 0.0), dof
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 300), k=st.integers(0, 10),
+       arities=st.lists(st.integers(1, 6), min_size=12, max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_matches_stratum_major_reference(n, k, arities, seed):
+    # |z|=0 is the single-stratum path; small z tables stay dense and large
+    # ones (up to 6**10 raw strata over <= 300 rows) take the compaction.
+    # Each z column leans on x so that strata differ in their association.
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, arities[0], n)
+    cols = {"x": x, "y": (x + rng.integers(0, 2, n)) % arities[1]}
+    for i, a in enumerate(arities[2:2 + k]):
+        cols[f"z{i}"] = np.where(rng.random(n) < 0.5, x % a,
+                                 rng.integers(0, a, n))
+    ds = build_dataset(cols, arities=arities[:2 + k])
+    xcode, rx = _fold(ds, (0,))
+    ycode, ry = _fold(ds, (1,))
+    zidx, n_strata = _fold(ds, tuple(range(2, 2 + k)))
+    args = (xcode, rx, ycode, ry, zidx, n_strata)
+    assert _nat_kernel(*args) == _stratum_major_reference(*args)
+
+
+def test_row_permutation_leaves_g2_results_identical():
+    # 14 planted binary variables over 400 rows: from |z|=8 on the raw
+    # strata outnumber the rows and the kernel compacts them.
+    net, _ = generate(GenConfig(n_labels=2, n_features=12, seed=4))
+    ds = sample(net, 400, 4)
+    rng = np.random.default_rng(4)
+    for seed in range(3):
+        shuffled = permute_rows(ds, seed)
+        for k in range(13):
+            for _ in range(4):
+                x, y, *z = rng.permutation(ds.n_vars)[:2 + k].tolist()
+                assert g2_test(shuffled, x, y, z) == g2_test(ds, x, y, z)
+
+
+def test_cmi_rejects_table_past_cell_cap(monkeypatch):
+    # Where set_ci reports the test unreliable, the estimate cannot be made.
+    rng = np.random.default_rng(2)
+    ds = build_dataset({f"v{i}": rng.integers(0, 2, 40) for i in range(5)})
+    at_cap = cond_mutual_information(ds, [0], [1], [2, 3])
+    monkeypatch.setattr(citest, "_MAX_TABLE_CELLS", 16)
+    assert cond_mutual_information(ds, [0], [1], [2, 3]) == at_cap
+    assert not set_ci(ds, [0], [1], [2, 3, 4]).reliable
+    with pytest.raises(ValueError, match="cells"):
+        cond_mutual_information(ds, [0], [1], [2, 3, 4])
 
 
 def test_unreliable_when_rows_scarce():

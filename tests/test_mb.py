@@ -3,7 +3,9 @@ import pytest
 
 from clcd.citest import CiConfig, CiResult
 from clcd.mb import G2Tester, LocalStructure, hiton_mb, hiton_pc, iamb
-from clcd.synth import DsepTester, graphical_mb, random_net, sample
+from clcd.synth import (DsepTester, GenConfig, generate, graphical_mb,
+                        random_net, sample)
+from conftest import permute_rows
 
 
 def _scope(net, target):
@@ -196,3 +198,17 @@ def test_g2_tester_ci_and_set_ci_share_cache():
     assert reverse.n_tests == 1
     assert reverse.ci(0, 1, (2,)) == r
     assert reverse.n_tests == 1
+
+
+def test_row_permutation_leaves_boundaries_identical():
+    # IAMB conditions on its whole boundary, so its tests reach the kernel's
+    # compacted strata; every test, and hence every boundary, must not move.
+    net, _ = generate(GenConfig(n_labels=3, n_features=25, p_c=0.5,
+                                p_m=1.0, seed=6))
+    ds = sample(net, 1500, 6)
+    shuffled = permute_rows(ds, 6)
+    cfg = CiConfig()
+    scope = range(ds.n_vars)
+    for t in ds.labels:
+        assert iamb(shuffled, t, scope, cfg) == iamb(ds, t, scope, cfg)
+        assert hiton_mb(shuffled, t, scope, cfg) == hiton_mb(ds, t, scope, cfg)
