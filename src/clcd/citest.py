@@ -12,6 +12,8 @@ Each count table is built in O(n) by one ``np.bincount``, stratum-minor
 strata. Only a table with more cells than the data has rows is compacted
 first, to the observed strata in code order. Cells are read back in (stratum,
 x, y) order and empty strata add nothing, so every table gives identical bits.
+The dataset keeps the last conditioning set's codes (:func:`_strata`), so
+tests under one set, as in IAMB's grow step, fold and compact it once.
 """
 
 from __future__ import annotations
@@ -77,21 +79,16 @@ def _nat_kernel(xcode: np.ndarray, rx: int, ycode: np.ndarray, ry: int,
 
     ``zidx`` is a per-row stratum code below ``n_strata``, or None for the
     empty conditioning set (one stratum). One bincount, with no sort, fills a
-    stratum-minor table, cell ``(x·ry + y)·n_strata + s``; if it would have
-    more cells than there are rows, ``np.unique`` first compacts the observed
-    strata in code order. Nonzero cells and their expected counts are read in
-    (stratum, x, y) order and empty strata have no nonzero cell or marginal,
-    so the sum adds the same terms in the same order: identical bits.
+    stratum-minor table, cell ``(x·ry + y)·n_strata + s``. Nonzero cells and
+    their expected counts are read in (stratum, x, y) order and empty strata
+    have no nonzero cell or marginal, so the sum adds the same terms in the
+    same order, compacted by :func:`_strata` or not: identical bits.
     """
-    cells = rx * ry
     flat = xcode * ry + ycode
     if zidx is not None:
-        if n_strata * cells > len(flat):
-            strata, zidx = np.unique(zidx, return_inverse=True)
-            n_strata = len(strata)
         flat *= n_strata
         flat += zidx
-    counts = np.bincount(flat, minlength=cells * n_strata).reshape(
+    counts = np.bincount(flat, minlength=rx * ry * n_strata).reshape(
         rx, ry, n_strata)
 
     rows = counts.sum(axis=1)
@@ -139,6 +136,31 @@ def _fold(ds: Dataset,
     return code, states
 
 
+def _strata(ds: Dataset, zt: tuple[VariableId, ...],
+            cells: int) -> tuple[np.ndarray | None, int] | None:
+    """Stratum code per row of sorted ``zt`` and the stratum count, or None
+    past _MAX_TABLE_CELLS. With ``cells`` cells per stratum and more cells
+    than rows, the observed strata are compacted by ``np.unique`` in code
+    order. ``ds._memo`` holds the last ``zt``'s fold and compaction."""
+    entry = ds._memo.get(zt)
+    if entry is None:
+        entry = _fold(ds, zt)
+        if len(zt) > 1:  # a new buffer; a single column is read-only already
+            entry[0].setflags(write=False)
+        ds._memo.clear()
+        ds._memo[zt] = entry
+    code, n_states = entry[:2]
+    if min(n_states, ds.n_rows) * cells > _MAX_TABLE_CELLS:
+        return None
+    if code is None or n_states * cells <= ds.n_rows:
+        return code, n_states
+    if len(entry) == 2:
+        observed, inverse = np.unique(code, return_inverse=True)
+        inverse.setflags(write=False)
+        entry = ds._memo[zt] = entry + (inverse, len(observed))
+    return entry[2:]
+
+
 def _validate_sets(xs, ys, z) -> tuple[tuple, tuple, tuple]:
     xt = tuple(sorted(map(int, xs)))
     yt = tuple(sorted(map(int, ys)))
@@ -175,10 +197,10 @@ def set_ci(ds: Dataset, xs, ys, z=(), cfg: CiConfig = CiConfig()) -> CiResult:
     ycode, ry = _fold(ds, yt)
     if (len(xt) > 1 or len(yt) > 1) and rx * ry > MAX_CELLS_PER_STRATUM:
         return _unreliable()
-    zidx, n_strata = _fold(ds, zt)
-    if min(n_strata, ds.n_rows) * rx * ry > _MAX_TABLE_CELLS:
+    strata = _strata(ds, zt, rx * ry)
+    if strata is None:
         return _unreliable()
-    nat, dof = _nat_kernel(xcode, rx, ycode, ry, zidx, n_strata)
+    nat, dof = _nat_kernel(xcode, rx, ycode, ry, *strata)
     return _result_from_kernel(nat, dof, ds.n_rows, cfg)
 
 
@@ -187,8 +209,8 @@ def cond_mutual_information(ds: Dataset, xs, ys, z=()) -> float:
     xt, yt, zt = _validate_sets(xs, ys, z)
     xcode, rx = _fold(ds, xt)
     ycode, ry = _fold(ds, yt)
-    zidx, n_strata = _fold(ds, zt)
-    if min(n_strata, ds.n_rows) * rx * ry > _MAX_TABLE_CELLS:
+    strata = _strata(ds, zt, rx * ry)
+    if strata is None:
         raise ValueError("count table exceeds _MAX_TABLE_CELLS cells")
-    nat, _ = _nat_kernel(xcode, rx, ycode, ry, zidx, n_strata)
+    nat, _ = _nat_kernel(xcode, rx, ycode, ry, *strata)
     return nat / (ds.n_rows * math.log(2.0))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +20,16 @@ class Dataset:
     ``codes`` has shape (n_vars, n_rows) so a test over (x, y | z) touches
     only the rows it involves. Codes for variable v lie in [0, arities[v]).
     ``is_label`` marks target columns; everything else is a feature.
+    The arrays are read-only, so ``_memo`` (values derived from them, kept by
+    ``citest``) never goes stale; it is not compared and dies with the dataset.
     """
 
     codes: np.ndarray
     arities: np.ndarray
     is_label: np.ndarray
     names: tuple[str, ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self) -> None:
         codes = np.ascontiguousarray(self.codes, dtype=np.int64)

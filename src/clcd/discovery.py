@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .citest import CiConfig
 from .data import Dataset, VariableId
 from .equivalence import EquivalencePair, find_equivalences
-from .mb import G2Tester, LocalStructure, hiton_mb, hiton_pc
+from .mb import CiTester, G2Tester, LocalStructure, hiton_mb, hiton_pc
 
 log = logging.getLogger("clcd")
 
@@ -63,7 +63,8 @@ def _all_candidates(ds: Dataset, target: VariableId) -> set:
     return set(range(ds.n_vars)) - {target}
 
 
-def phase1_structures(ds: Dataset, labels, cfg: CiConfig, tester=None,
+def phase1_structures(ds: Dataset, labels, cfg: CiConfig,
+                      tester: CiTester | None = None,
                       symmetric: bool = False) -> dict:
     """Learn a local structure for every label over all other variables."""
     if tester is None:
@@ -73,7 +74,7 @@ def phase1_structures(ds: Dataset, labels, cfg: CiConfig, tester=None,
 
 
 def phase2_retrieve(ds: Dataset, labels, structures: dict, cfg: CiConfig,
-                    max_z: int = 1, tester=None) -> dict:
+                    max_z: int = 1, tester: CiTester | None = None) -> dict:
     """Restore variables hidden behind a label inside another label's PC.
 
     For each ordered label pair (t_i, t_j) with t_i in PC(t_j), a candidate
@@ -128,7 +129,8 @@ def _phase2_admits(tester, z, t_i, t_j, st, cfg) -> bool:
 
 
 def phase3_equivalences(ds: Dataset, labels, structures: dict, cfg: CiConfig,
-                        max_z: int = 1, tester=None) -> dict:
+                        max_z: int = 1,
+                        tester: CiTester | None = None) -> dict:
     """Equivalence scan over labels and every recorded spouse child.
 
     The PC of a non-label child is learned on demand. External sides are
@@ -192,7 +194,7 @@ def theta_candidates(structures: dict, ei: dict, labels) -> list:
 
 
 def clcd(ds: Dataset, labels=None, cfg: CiConfig = CiConfig(),
-         max_z: int = 1, workers: int = 1, tester=None,
+         max_z: int = 1, workers: int = 1, tester: CiTester | None = None,
          phase2: bool = True) -> ClcdOutput:
     """Full pipeline: structures, retrieval, equivalences, Θ classification.
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .citest import CiConfig
 from .data import Dataset, VariableId
-from .mb import G2Tester
+from .mb import CiTester, G2Tester
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class EquivalencePair:
 
 def contains_equivalent_info(ds: Dataset, target: VariableId, s, z,
                              context=(), cfg: CiConfig = CiConfig(),
-                             tester=None) -> bool:
+                             tester: CiTester | None = None) -> bool:
     """True iff s and z are information-equivalent for the target.
 
     Checks, in order: target ⊥̸ s | context, target ⊥̸ z | context,
@@ -67,7 +67,7 @@ def contains_equivalent_info(ds: Dataset, target: VariableId, s, z,
 
 def find_equivalences(ds: Dataset, x: VariableId, pc_x, candidates,
                       cfg: CiConfig = CiConfig(), max_z: int = 1,
-                      tester=None) -> list:
+                      tester: CiTester | None = None) -> list:
     """Scan for external sets equivalent to PC subsets of ``x``.
 
     Z ranges over subsets (sizes 1..max_z) of candidates∖pc_x that are

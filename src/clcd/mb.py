@@ -8,12 +8,30 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Protocol, runtime_checkable
 
 from .citest import CiConfig, CiResult, g2_test, set_ci
 from .data import Dataset, VariableId
 
 
-class G2Tester:
+@runtime_checkable
+class CiTester(Protocol):
+    """A CI test provider: :class:`G2Tester` on data, or the d-separation
+    oracle ``synth.DsepTester``. ``n_tests`` counts distinct tests answered."""
+
+    n_tests: int
+
+    def ci(self, x: VariableId, y: VariableId, z=()) -> CiResult: ...
+    def set_ci(self, xs, ys, z=()) -> CiResult: ...
+
+    def independent(self, x: VariableId, y: VariableId, z=()) -> bool:
+        return self.ci(x, y, z).independent
+
+    def set_independent(self, xs, ys, z=()) -> bool:
+        return self.set_ci(xs, ys, z).independent
+
+
+class G2Tester(CiTester):
     """Memoizing G² test provider bound to one dataset.
 
     ``ci`` and ``set_ci`` share one cache. Keys are the sorted sides, swapped
@@ -38,9 +56,6 @@ class G2Tester:
             self.n_tests += 1
         return result
 
-    def independent(self, x: VariableId, y: VariableId, z=()) -> bool:
-        return self.ci(x, y, z).independent
-
     def set_ci(self, xs, ys, z=()) -> CiResult:
         a, b = tuple(sorted(xs)), tuple(sorted(ys))
         if a > b:
@@ -52,9 +67,6 @@ class G2Tester:
             self._cache[key] = result
             self.n_tests += 1
         return result
-
-    def set_independent(self, xs, ys, z=()) -> bool:
-        return self.set_ci(xs, ys, z).independent
 
 
 @dataclass
@@ -106,7 +118,7 @@ def _search_sepset(tester, target, x, pool, max_size):
 
 
 def hiton_pc(ds, target: VariableId, candidates, cfg: CiConfig,
-             tester=None, symmetric: bool = False):
+             tester: CiTester | None = None, symmetric: bool = False):
     """Parent/children search with interleaved backward conditioning.
 
     Candidates enter in ascending order of marginal p-value (ties by id);
@@ -168,7 +180,8 @@ def hiton_pc(ds, target: VariableId, candidates, cfg: CiConfig,
 
 
 def hiton_mb(ds, target: VariableId, candidates, cfg: CiConfig,
-             tester=None, symmetric: bool = False) -> LocalStructure:
+             tester: CiTester | None = None,
+             symmetric: bool = False) -> LocalStructure:
     """Markov boundary via PC search plus the spouse collider check.
 
     For every X in the PC of a PC member Y (X outside PC ∪ {target}), X is a
@@ -196,7 +209,8 @@ def hiton_mb(ds, target: VariableId, candidates, cfg: CiConfig,
                           sepsets=sepsets)
 
 
-def iamb(ds, target: VariableId, candidates, cfg: CiConfig, tester=None) -> set:
+def iamb(ds, target: VariableId, candidates, cfg: CiConfig,
+         tester: CiTester | None = None) -> set:
     """Incremental-association Markov boundary baseline.
 
     Grows by the strongest dependent variable given the current boundary

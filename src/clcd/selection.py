@@ -20,7 +20,7 @@ from .discovery import (
     phase3_equivalences,
     theta_candidates,
 )
-from .mb import G2Tester
+from .mb import CiTester, G2Tester
 
 log = logging.getLogger("clcd")
 
@@ -61,7 +61,7 @@ def _always_dependent(tester, x: VariableId, target: VariableId,
 
 
 def delabel_pc(ds: Dataset, label: VariableId, structures: dict, labels,
-               cfg: CiConfig = CiConfig(), tester=None,
+               cfg: CiConfig = CiConfig(), tester: CiTester | None = None,
                source_pc: dict | None = None) -> set:
     """Replace labels in PC(label) by members drawn from their own PCs.
 
@@ -183,7 +183,8 @@ def select_common(ds: Dataset, labels, structures: dict, ei: dict,
 
 
 def clcd_fs(ds: Dataset, cfg: CiConfig = CiConfig(), max_z: int = 1,
-            workers: int = 1, tester=None) -> FeatureSelectionResult:
+            workers: int = 1,
+            tester: CiTester | None = None) -> FeatureSelectionResult:
     """Full causal feature-selection pipeline over all labels of ds.
 
     Runs local discovery and cross-label retrieval, delabels every boundary,

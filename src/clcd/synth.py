@@ -18,6 +18,7 @@ import numpy as np
 
 from .citest import CiConfig, CiResult
 from .data import Dataset
+from .mb import CiTester
 
 log = logging.getLogger("clcd")
 
@@ -578,7 +579,7 @@ def dsep_oracle(net: BayesNet, x: int, y: int, z=()) -> bool:
     return True
 
 
-class DsepTester:
+class DsepTester(CiTester):
     """Graphical stand-in for the G² tester: exact, always reliable.
 
     Set queries hold iff every cross pair is d-separated. Dependence strength
@@ -611,16 +612,13 @@ class DsepTester:
     def ci(self, x, y, z=()) -> CiResult:
         return self._result(self._dsep(x, y, tuple(z)))
 
-    def independent(self, x, y, z=()) -> bool:
+    def independent(self, x, y, z=()) -> bool:  # no CiResult to build
         return self._dsep(x, y, tuple(z))
 
     def set_ci(self, xs, ys, z=()) -> CiResult:
         sep = all(self._dsep(a, b, tuple(z))
                   for a in sorted(xs) for b in sorted(ys))
         return self._result(sep)
-
-    def set_independent(self, xs, ys, z=()) -> bool:
-        return self.set_ci(xs, ys, z).independent
 
 
 def random_net(n_nodes: int, edge_prob: float, rng, arity: int = 2,

@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -13,6 +16,7 @@ from clcd.citest import (
     CiResult,
     _fold,
     _nat_kernel,
+    _strata,
     cond_mutual_information,
     g2_test,
     set_ci,
@@ -134,8 +138,8 @@ def test_g2_matches_dict_count_reference(table):
 def test_kernel_dense_and_compacted_strata_are_bit_identical():
     # z columns declare arity 5 but only ever take the values 0 and 4, so raw
     # codes leave empty strata; at |z|=4 (625 strata x 4 cells > 2000
-    # rows) raw codes take the compacting branch while the compacted codes
-    # (at most 16 strata) still fit the dense table.
+    # rows) _strata compacts the raw codes, while the kernel also takes
+    # the raw codes as one dense table and np.unique's codes as another.
     rng = np.random.default_rng(17)
     n = 2000
     x = rng.integers(0, 2, n)
@@ -146,17 +150,24 @@ def test_kernel_dense_and_compacted_strata_are_bit_identical():
     xcode, rx = _fold(ds, (0,))
     ycode, ry = _fold(ds, (1,))
     for k in range(5):
-        zidx, n_strata = _fold(ds, tuple(range(2, 2 + k)))
+        zt = tuple(range(2, 2 + k))
+        zidx, n_strata = _fold(ds, zt)
         raw = np.zeros(n, dtype=np.int64) if zidx is None else zidx
         observed, compact = np.unique(raw, return_inverse=True)
-        got = _nat_kernel(xcode, rx, ycode, ry, zidx, n_strata)
+        dense = _nat_kernel(xcode, rx, ycode, ry, zidx, n_strata)
         ref = _nat_kernel(xcode, rx, ycode, ry, compact, len(observed))
-        assert got == ref
-        assert got[1] > 0
+        strata = _strata(ds, zt, rx * ry)
+        assert (strata[1] < n_strata) == (k == 4)
+        assert _nat_kernel(xcode, rx, ycode, ry, *strata) == dense == ref
+        assert dense[1] > 0
 
 
 def _stratum_major_reference(xcode, rx, ycode, ry, zidx, n_strata):
-    """The kernel as a stratum-major ``(S, rx, ry)`` table, read in C order."""
+    """The kernel as a stratum-major ``(S, rx, ry)`` table, read in C order.
+
+    It compacts raw fold codes itself, as the kernel once did; the library
+    now compacts them in ``_strata`` before the kernel.
+    """
     cells = rx * ry
     flat = xcode * ry + ycode
     if zidx is not None:
@@ -199,9 +210,10 @@ def test_kernel_matches_stratum_major_reference(n, k, arities, seed):
     ds = build_dataset(cols, arities=arities[:2 + k])
     xcode, rx = _fold(ds, (0,))
     ycode, ry = _fold(ds, (1,))
-    zidx, n_strata = _fold(ds, tuple(range(2, 2 + k)))
-    args = (xcode, rx, ycode, ry, zidx, n_strata)
-    assert _nat_kernel(*args) == _stratum_major_reference(*args)
+    zt = tuple(range(2, 2 + k))
+    got = _nat_kernel(xcode, rx, ycode, ry, *_strata(ds, zt, rx * ry))
+    assert got == _stratum_major_reference(xcode, rx, ycode, ry,
+                                           *_fold(ds, zt))
 
 
 def test_row_permutation_leaves_g2_results_identical():
@@ -360,3 +372,116 @@ def test_g2_result_is_deterministic():
     for _ in range(3):
         assert g2_test(ds, 0, 1, (2,)) == first
         assert isinstance(first, CiResult)
+
+
+def _cold(ds):
+    """The same data in a new Dataset, whose memo starts empty."""
+    return dataclasses.replace(ds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_strata_memo_matches_memo_cold_dataset(data):
+    # A few z sets, reused in any order and interleaved across the three
+    # entry points, over 8 columns of arity 1-5 and 5-120 rows: large z take
+    # the compaction, small ones the dense table. Each answer must equal a
+    # cold dataset's answer for z in sorted order.
+    n = data.draw(st.integers(5, 120))
+    arities = data.draw(st.lists(st.integers(1, 5), min_size=8, max_size=8))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ds = build_dataset({f"v{i}": rng.integers(0, a, n)
+                        for i, a in enumerate(arities)}, arities=arities)
+    zsets = data.draw(st.lists(st.sets(st.integers(0, 7), max_size=6),
+                               min_size=1, max_size=3))
+    calls = data.draw(st.lists(st.tuples(
+        st.sampled_from((g2_test, set_ci, cond_mutual_information)),
+        st.sampled_from(zsets), st.permutations(range(8))),
+        min_size=1, max_size=12))
+    for call, zset, order in calls:
+        z = [v for v in order if v in zset]
+        rest = [v for v in order if v not in zset]
+        if len(rest) < 2:
+            continue
+        args = ((rest[0], rest[1]) if call is g2_test
+                else (rest[:1], rest[1:3]))
+        assert call(ds, *args, z) == call(_cold(ds), *args, sorted(z))
+
+
+def test_strata_memo_is_per_dataset():
+    # Equal x, y and z over different z codes, checked against the dict-count
+    # reference; 81 strata x 9 cells > 200 rows, so entries hold compactions.
+    rng = np.random.default_rng(8)
+    a = build_dataset({f"v{i}": rng.integers(0, 3, 200) for i in range(6)})
+    shift = np.zeros((6, 200), dtype=np.int64)
+    shift[2:] = rng.random((4, 200)) < 0.5
+    b = build_dataset({f"v{i}": c for i, c in enumerate((a.codes + shift) % 3)},
+                      arities=a.arities)
+    z = (2, 3, 4, 5)
+    results = []
+    for ds in (a, b, a, b):
+        zrows = list(zip(*ds.codes[list(z)]))
+        for x, y in ((0, 1), (1, 0)):
+            res = g2_test(ds, x, y, z)
+            g2, dof = _g2_by_counting(ds.codes[x], ds.codes[y], zrows)
+            assert res.dof == dof
+            assert res.statistic == pytest.approx(g2, rel=1e-12)
+            cmi = cond_mutual_information(ds, [x], [y], z)
+            assert cmi * 2 * ds.n_rows * math.log(2.0) == pytest.approx(g2)
+            results.append(res)
+    assert results[0] != results[2]
+
+
+def test_strata_memo_arrays_are_read_only():
+    # 8 strata x 4 cells > 20 rows: the entry holds a fold and a compaction.
+    rng = np.random.default_rng(6)
+    ds = build_dataset({f"v{i}": rng.integers(0, 2, 20) for i in range(5)},
+                       arities=[2] * 5)
+    g2_test(ds, 0, 1, (4, 2, 3))
+    (key, entry), = ds._memo.items()
+    assert key == (2, 3, 4)
+    arrays = [v for v in entry if isinstance(v, np.ndarray)]
+    assert len(arrays) == 2
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_dataset_with_strata_memo_is_freed():
+    rng = np.random.default_rng(1)
+    ds = build_dataset({f"v{i}": rng.integers(0, 2, 20) for i in range(5)},
+                       arities=[2] * 5)
+    g2_test(ds, 0, 1, (2, 3, 4))
+    assert ds._memo
+    ref = weakref.ref(ds)
+    del ds
+    gc.collect()
+    assert ref() is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_category_recoding_keeps_g2_results(seed):
+    # Relabelling every column's categories by a bijection gives the same
+    # tables with cells and strata in another order: dof and reliability
+    # stay exact and the sums move by rounding only. |z|=3 over 300 rows
+    # reaches the compacted strata.
+    rng = np.random.default_rng(seed)
+    n = 300
+    arities = rng.integers(2, 5, 7)
+    base = rng.integers(0, arities[0], n)
+    cols = [base] + [np.where(rng.random(n) < 0.4, base % a,
+                              rng.integers(0, a, n)) for a in arities[1:]]
+    ds = build_dataset({f"v{i}": c for i, c in enumerate(cols)},
+                       arities=arities)
+    recoded = build_dataset({f"v{i}": rng.permutation(a)[c] for i, (a, c)
+                             in enumerate(zip(arities, cols))},
+                            arities=arities)
+    for k in range(4):
+        for _ in range(3):
+            x, y, *z = rng.permutation(7)[:2 + k].tolist()
+            got, ref = g2_test(recoded, x, y, z), g2_test(ds, x, y, z)
+            assert (got.dof, got.reliable) == (ref.dof, ref.reliable)
+            assert got.statistic == pytest.approx(ref.statistic, rel=1e-12,
+                                                  abs=1e-12)
+            assert got.p_value == pytest.approx(ref.p_value, rel=1e-12)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clcd.citest import CiConfig
 from clcd.data import Dataset
@@ -8,7 +10,9 @@ from clcd.equivalence import (
     contains_equivalent_info,
     find_equivalences,
 )
-from clcd.synth import BayesNet, inject_equivalence, sample
+from clcd.mb import hiton_pc
+from clcd.synth import (BayesNet, GenConfig, generate, inject_equivalence,
+                        sample)
 from conftest import bsc, build_dataset
 
 
@@ -137,3 +141,25 @@ def test_deterministic_output_order():
     assert first == second
     assert [tuple(sorted(p.z)) for p in first] == sorted(
         tuple(sorted(p.z)) for p in first)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_injected_duplicate_of_pc_member_pairs_with_it(seed):
+    # A relabelled copy of a PC member m of label x, appended as a feature:
+    # the scan over every other column pairs it with m and nothing else.
+    rng = np.random.default_rng(seed)
+    net, _ = generate(GenConfig(n_labels=2, n_features=10,
+                                seed=int(rng.integers(1000))))
+    ds = sample(net, 1000, int(rng.integers(1000)))
+    x = ds.labels[0]
+    pc, _ = hiton_pc(ds, x, range(ds.n_vars), CiConfig())
+    for m in sorted(pc):
+        copy = rng.permutation(ds.arity(m))[ds.codes[m]]
+        dup = Dataset(codes=np.vstack([ds.codes, copy]),
+                      arities=np.append(ds.arities, ds.arity(m)),
+                      is_label=np.append(ds.is_label, False),
+                      names=ds.names + ("dup",))
+        found = find_equivalences(dup, x, pc, range(dup.n_vars))
+        assert [(p.s, p.z) for p in found if ds.n_vars in p.z] == [
+            (frozenset({m}), frozenset({ds.n_vars}))]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from clcd.citest import CiConfig, CiResult
-from clcd.mb import G2Tester, LocalStructure, hiton_mb, hiton_pc, iamb
+from clcd.mb import (CiTester, G2Tester, LocalStructure, hiton_mb,
+                     hiton_pc, iamb)
 from clcd.synth import (DsepTester, GenConfig, generate, graphical_mb,
                         random_net, sample)
 from conftest import permute_rows
@@ -212,3 +213,17 @@ def test_row_permutation_leaves_boundaries_identical():
     for t in ds.labels:
         assert iamb(shuffled, t, scope, cfg) == iamb(ds, t, scope, cfg)
         assert hiton_mb(shuffled, t, scope, cfg) == hiton_mb(ds, t, scope, cfg)
+
+
+def test_g2_and_dsep_testers_share_the_tester_protocol(chain_net):
+    ds = sample(chain_net, 300, seed=2)
+    testers = (G2Tester(ds, CiConfig()), DsepTester(chain_net))
+    for tester in testers:
+        assert isinstance(tester, CiTester)
+        for z in ((), (1,)):
+            assert (tester.independent(0, 2, z)
+                    == tester.ci(0, 2, z).independent)
+            assert (tester.set_independent([0], [2], z)
+                    == tester.set_ci([0], [2], z).independent)
+    assert [t.independent(0, 2, (1,)) for t in testers] == [True, True]
+    assert not isinstance(object(), CiTester)
