@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -13,26 +15,28 @@ import numpy as np
 VariableId = int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable column-oriented table of categorical codes.
 
     ``codes`` has shape (n_vars, n_rows) so a test over (x, y | z) touches
     only the rows it involves. Codes for variable v lie in [0, arities[v]).
     ``is_label`` marks target columns; everything else is a feature.
-    The arrays are read-only, so ``_memo`` (values derived from them, kept by
-    ``citest``) never goes stale; it is not compared and dies with the dataset.
+    The arrays are read-only and ``codes`` owns its data (a view is copied),
+    so ``_memo`` (values derived from them, kept by ``citest``) never goes
+    stale; it dies with the dataset. Equality is identity.
     """
 
     codes: np.ndarray
     arities: np.ndarray
     is_label: np.ndarray
     names: tuple[str, ...]
-    _memo: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         codes = np.ascontiguousarray(self.codes, dtype=np.int64)
+        if codes.base is not None:
+            codes = codes.copy()
         arities = np.asarray(self.arities, dtype=np.int64)
         is_label = np.asarray(self.is_label, dtype=bool)
         if codes.ndim != 2:
@@ -90,20 +94,64 @@ def load_dataset(csv_path, meta_path) -> Dataset:
 
     Integer columns are taken verbatim as codes (arity = max code + 1, gaps
     allowed); any other column is coded by first appearance of each distinct
-    string. Blank cells and negative integers are hard errors.
+    string. Blank cells, blank lines, ragged rows and negative integers are
+    hard errors. Lines end in LF or CRLF. A body of plain integers is parsed
+    in one C pass; any other goes column by column, the only path that codes
+    strings or reports errors.
     """
     meta = json.loads(Path(meta_path).read_text(encoding="utf-8"))
     label_names = meta.get("labels")
     if not isinstance(label_names, list) or not all(isinstance(s, str) for s in label_names):
         raise ValueError('metadata must be a JSON object {"labels": [name, ...]}')
-
     with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty CSV file") from None
-        rows = list(reader)
+        text = fh.read()
+    header, codes, arities = (_parse_integers(text, label_names)
+                              or _parse_by_column(text, label_names))
+    is_label = np.array([name in set(label_names) for name in header])
+    return Dataset(codes=codes, arities=arities, is_label=is_label,
+                   names=tuple(header))
+
+
+def _parse_integers(text: str, label_names: list) -> tuple | None:
+    """(header, codes, arities) of a CSV whose body is plain integers, or None.
+
+    ``np.loadtxt`` skips blank lines and reads ``+1``, ``007`` and padding
+    that ``int()`` may refuse, so its parse counts only when the body is as
+    long as the plain rendering of what it read: each cell's digits and one
+    separator. A sign, a leading zero, padding or a blank line is longer.
+    """
+    flat = text.replace("\r\n", "\n")
+    head, _, body = flat.partition("\n")
+    if '"' in flat or "\r" in flat or not body:
+        return None
+    header = next(csv.reader([head]))
+    if len(set(header)) != len(header) or not set(label_names) <= set(header):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.StringIO(body), dtype=np.int64,
+                              delimiter=",", comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    top = int(rows.max())
+    digits = rows.size + sum(int(np.count_nonzero(rows >= 10 ** k))
+                             for k in range(1, len(str(top))))
+    if (rows.shape[1] != len(header) or top == np.iinfo(np.int64).max
+            or len(body) != digits + rows.size - (not body.endswith("\n"))):
+        return None  # at int64's max, the arity top + 1 would overflow
+    codes = np.ascontiguousarray(rows.T)
+    return header, codes, codes.max(axis=1) + 1
+
+
+def _parse_by_column(text: str, label_names: list) -> tuple:
+    """(header, codes, arities) of any CSV, column by column, or its error."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError("empty CSV file") from None
+    rows = list(reader)
 
     if len(set(header)) != len(header):
         raise ValueError("duplicate column names in CSV header")
@@ -136,7 +184,4 @@ def load_dataset(csv_path, meta_path) -> Dataset:
             raise ValueError(f"negative code in column {name!r}")
         codes[j] = values
         arities[j] = max(values) + 1
-
-    is_label = np.array([name in set(label_names) for name in header])
-    return Dataset(codes=codes, arities=arities, is_label=is_label,
-                   names=tuple(header))
+    return header, codes, arities

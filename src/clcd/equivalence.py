@@ -2,14 +2,12 @@
 
 Two disjoint sets S and Z are information-equivalent for X when each is
 marginally dependent on X yet screens the other off: X ⊥ S | Z and X ⊥ Z | S.
-Scans run context-free by default; a conditioning context can be supplied for
-the expert variant.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .citest import CiConfig
 from .data import Dataset, VariableId
@@ -27,7 +25,6 @@ class EquivalencePair:
     target: VariableId
     s: frozenset
     z: frozenset
-    context: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
         if not self.s or not self.z:
@@ -42,27 +39,26 @@ class EquivalencePair:
 
 
 def contains_equivalent_info(ds: Dataset, target: VariableId, s, z,
-                             context=(), cfg: CiConfig = CiConfig(),
+                             cfg: CiConfig = CiConfig(),
                              tester: CiTester | None = None) -> bool:
     """True iff s and z are information-equivalent for the target.
 
-    Checks, in order: target ⊥̸ s | context, target ⊥̸ z | context,
-    target ⊥ s | z ∪ context, target ⊥ z | s ∪ context. All four run through
-    the composite-variable G² test.
+    Checks, in order: target ⊥̸ s, target ⊥̸ z, target ⊥ s | z,
+    target ⊥ z | s. All four run through the composite-variable G² test.
     """
-    s, z, context = frozenset(s), frozenset(z), frozenset(context)
+    s, z = frozenset(s), frozenset(z)
     if not s or not z:
         raise ValueError("both sides must be nonempty")
-    if s & z or target in s | z or target in context:
-        raise ValueError("target, s, z and context must not overlap")
+    if s & z or target in s | z:
+        raise ValueError("target, s and z must not overlap")
     if tester is None:
         tester = G2Tester(ds, cfg)
-    if tester.set_independent((target,), s, context):
+    if tester.set_independent((target,), s, ()):
         return False
-    if tester.set_independent((target,), z, context):
+    if tester.set_independent((target,), z, ()):
         return False
-    return (tester.set_independent((target,), s, z | context)
-            and tester.set_independent((target,), z, s | context))
+    return (tester.set_independent((target,), s, z)
+            and tester.set_independent((target,), z, s))
 
 
 def find_equivalences(ds: Dataset, x: VariableId, pc_x, candidates,
@@ -72,7 +68,7 @@ def find_equivalences(ds: Dataset, x: VariableId, pc_x, candidates,
 
     Z ranges over subsets (sizes 1..max_z) of candidates∖pc_x that are
     dependent on x; S ranges over subsets of pc_x of the same sizes. Every
-    pair satisfying the context-free equivalence conditions is returned, in
+    pair satisfying the equivalence conditions is returned, in
     deterministic (size, id) order.
     """
     if max_z < 1:
@@ -94,7 +90,7 @@ def find_equivalences(ds: Dataset, x: VariableId, pc_x, candidates,
             if size > 1 and tester.set_independent((x,), z, ()):
                 continue
             for s in s_subsets:
-                if contains_equivalent_info(ds, x, s, z, (), cfg, tester):
+                if contains_equivalent_info(ds, x, s, z, cfg, tester):
                     found.append(EquivalencePair(
                         target=x, s=frozenset(s), z=frozenset(z)))
     return found

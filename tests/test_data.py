@@ -1,9 +1,15 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from clcd import data
 from clcd.citest import CiConfig, _fold, g2_test
+from clcd.cli import main
 from clcd.data import Dataset, load_dataset
 
 from conftest import build_dataset
@@ -37,6 +43,27 @@ def test_dataset_is_immutable():
     ds = build_dataset({"a": [0, 1], "y": [1, 0]}, labels={"y"})
     with pytest.raises(ValueError):
         ds.codes[0, 0] = 1
+
+
+def test_dataset_copies_a_view_of_writable_codes():
+    base = np.random.default_rng(0).integers(0, 2, size=(6, 50))
+    ds = Dataset(codes=base[:, :], arities=np.full(6, 2),
+                 is_label=np.arange(6) == 5, names=tuple("abcdef"))
+    first = g2_test(ds, 0, 1, (2, 3))
+    base[2] = 0
+    again = g2_test(ds, 0, 1, (2, 3))
+    # the dataset keeps the rows it was built from, and its memo stays true
+    assert again == first == g2_test(dataclasses.replace(ds), 0, 1, (2, 3))
+    assert (again.dof, round(again.statistic, 2)) == (4, 2.04)
+    moved = g2_test(dataclasses.replace(ds, codes=base), 0, 1, (2, 3))
+    assert (moved.dof, round(moved.statistic, 2)) == (2, 0.57)
+
+
+def test_dataset_equality_is_identity():
+    ds = build_dataset({"a": [0, 1], "y": [1, 0]}, labels={"y"})
+    twin = dataclasses.replace(ds)
+    assert ds == ds and ds != twin
+    assert len({ds, twin, ds}) == 2
 
 
 def test_stratum_index_orders_high_to_low():
@@ -138,3 +165,85 @@ def test_load_dataset_roundtrip_codes(tmp_path):
     ds = load_dataset(data, meta)
     assert ds.column(0).tolist() == a.tolist()
     assert ds.column(2).tolist() == y.tolist()
+
+
+PLAIN_CELLS = [str(i) for i in range(10)] + ["10", "12", "305"]
+ODD_CELLS = [" 1", "1 ", "\t1", "+1", "-0", "007", "-1", "1.0", "1e0", "1_0",
+             "\u0663", "#1", '""', '"1"', "red", "", "12345678901234567890",
+             "99999999999999999999", "9223372036854775807"]
+
+
+@st.composite
+def _csv_texts(draw):
+    names = draw(st.lists(st.sampled_from("abc"), unique=True, max_size=3))
+    names.append("y")
+    header = draw(st.sampled_from(["ok"] * 9 + ["dup", "no-label", "none"]))
+    if header == "dup":
+        names.append(names[0])
+    elif header == "no-label":
+        names.remove("y")
+    elif header == "none":
+        names = []
+    width = max(len(names) + draw(st.sampled_from([0] * 8 + [-1, 1])), 1)
+    plain = st.sampled_from(PLAIN_CELLS)
+    rows = [[draw(plain) for _ in range(width)]
+            for _ in range(draw(st.integers(0, 6)))]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        edit = draw(st.sampled_from(["odd", "odd", "short", "long"]))
+        if edit == "long" or not row:
+            row.append(draw(plain))
+        elif edit == "short":
+            row.pop()
+        else:
+            row[draw(st.integers(0, len(row) - 1))] = draw(
+                st.sampled_from(ODD_CELLS))
+    lines = [",".join(names)] + [",".join(row) for row in rows]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    eol = draw(st.sampled_from(["\n"] * 3 + ["\r\n"] * 3 + ["\r"]))
+    return eol.join(lines) + (eol if draw(st.booleans()) else "")
+
+
+def _loaded(path, meta, one_pass=True):
+    try:
+        if one_pass:
+            ds = load_dataset(path, meta)
+        else:
+            with mock.patch.object(data, "_parse_integers", return_value=None):
+                ds = load_dataset(path, meta)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (ds.codes.tolist(), ds.arities.tolist(), ds.is_label.tolist(),
+            ds.names)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_csv_texts())
+@example(text="a,y\n0,1\n\n1,0\n")
+@example(text="a,y\n0,1,1\n1,0,0\n")
+@example(text="a,y\n-1,1\n")
+@example(text="a,y\n9223372036854775807,1\n")
+@example(text="a,y\r\n1,0\r\n12,1")
+@example(text='"y\n1\n')
+@example(text="a,y\r0,1\n1,0\n")
+def test_load_dataset_matches_per_column_reference(tmp_path_factory, text):
+    base = tmp_path_factory.getbasetemp()
+    path, meta = base / "eq.csv", base / "eq.json"
+    path.write_bytes(text.encode("utf-8"))
+    meta.write_text(META)
+    assert _loaded(path, meta) == _loaded(path, meta, one_pass=False)
+
+
+def test_generated_csv_takes_the_one_pass_parse(tmp_path, monkeypatch):
+    out = tmp_path / "gen"
+    assert main(["gen", "--labels", "2", "--features", "8", "--samples",
+                 "300", "--seed", "5", "--out", str(out)]) == 0
+    assert b"\r\n" in (out / "data.csv").read_bytes()
+    expected = _loaded(out / "data.csv", out / "meta.json", one_pass=False)
+
+    def refuse(*args):
+        raise AssertionError("per-column path used")
+
+    monkeypatch.setattr(data, "_parse_by_column", refuse)
+    assert _loaded(out / "data.csv", out / "meta.json") == expected
