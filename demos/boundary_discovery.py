@@ -14,6 +14,7 @@ from clcd import (
     BayesNet,
     CiConfig,
     DsepTester,
+    G2Tester,
     g2_test,
     graphical_mb,
     hiton_mb,
@@ -47,12 +48,13 @@ def main():
     cfg = CiConfig()
     names = NET.names
     ds = sample(NET, 5000, seed=1)
+    tester = G2Tester(ds, cfg)
 
     for target in range(NET.n_nodes):
         others = set(range(NET.n_nodes)) - {target}
-        from_data = hiton_mb(ds, target, others, cfg)
-        oracle = hiton_mb(None, target, others, cfg,
-                          tester=DsepTester(NET, cfg), symmetric=True)
+        from_data = hiton_mb(tester, target, others, cfg)
+        oracle = hiton_mb(DsepTester(NET, cfg), target, others, cfg,
+                          symmetric=True)
         truth = graphical_mb(NET, target)
         agree = from_data.mb == oracle.mb == truth
         print(f"target {names[target]} "

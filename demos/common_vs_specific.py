@@ -51,8 +51,7 @@ def main():
     show("\nequivalence-aware discovery:", out.ccv, out.tcv, names)
 
     tester = G2Tester(ds, cfg)
-    mbs = {t: hiton_mb(ds, t, set(range(ds.n_vars)) - {t}, cfg,
-                       tester=tester).mb
+    mbs = {t: hiton_mb(tester, t, set(range(ds.n_vars)) - {t}, cfg).mb
            for t in net.labels}
     inter = intersection_common(mbs, net.labels)
     label_set = set(net.labels)

@@ -11,6 +11,7 @@ import numpy as np
 from clcd import (
     BayesNet,
     CiConfig,
+    G2Tester,
     contains_equivalent_info,
     find_equivalences,
     g2_test,
@@ -50,11 +51,12 @@ def main():
         print(f"  given {NET.names[w]:>3}, {NET.names[v]:>3} "
               f"{verdict} (p = {res.p_value:.3f})")
 
+    tester = G2Tester(ds, cfg)
     print("\nequivalence verdicts:")
-    print(f"  X vs X_c: {contains_equivalent_info(ds, T, [X], [X_C], cfg=cfg)}")
-    print(f"  X vs Z:   {contains_equivalent_info(ds, T, [X], [Z], cfg=cfg)}")
+    print(f"  X vs X_c: {contains_equivalent_info(tester, T, [X], [X_C])}")
+    print(f"  X vs Z:   {contains_equivalent_info(tester, T, [X], [Z])}")
 
-    pairs = find_equivalences(ds, T, pc_x=[X], candidates=[X, X_C, Z], cfg=cfg)
+    pairs = find_equivalences(tester, T, pc_x=[X], candidates=[X, X_C, Z])
     print("\nscan over all external candidates:")
     for pair in pairs:
         s = ", ".join(NET.names[v] for v in sorted(pair.s))

@@ -17,7 +17,7 @@ from clcd import (
     generate,
     hamming_loss,
     label_matrix,
-    ranking_loss,
+    ranking_loss_detail,
     sample,
     split_dataset,
 )
@@ -31,7 +31,7 @@ def probe(ds, features):
     macro, micro = f_scores(pred, truth)
     return {
         "hamming": hamming_loss(pred, truth),
-        "ranking": ranking_loss(scores, truth),
+        "ranking": ranking_loss_detail(scores, truth)[0],
         "f_macro": macro,
         "f_micro": micro,
     }

@@ -10,11 +10,9 @@ backs testing and benchmarking.
 from .benchmark import (
     ALGORITHMS,
     intersection_common,
-    read_benchmark_csv,
     render_benchmark_csv,
     run_algorithm,
     run_benchmark,
-    write_benchmark_csv,
 )
 from .citest import (
     CiConfig,
@@ -43,14 +41,12 @@ from .equivalence import (
 from .mb import G2Tester, LocalStructure, hiton_mb, hiton_pc, iamb
 from .metrics import (
     BrNbModel,
-    MlMetrics,
     VariableScores,
     br_nb_predict,
     br_nb_train,
     f_scores,
     hamming_loss,
     label_matrix,
-    ranking_loss,
     ranking_loss_detail,
     score_variables,
     split_dataset,
@@ -97,7 +93,6 @@ __all__ = [
     "GenConfig",
     "GroundTruth",
     "LocalStructure",
-    "MlMetrics",
     "ThetaMatch",
     "ThetaWitness",
     "VariableScores",
@@ -132,9 +127,7 @@ __all__ = [
     "phase2_retrieve",
     "phase3_equivalences",
     "random_net",
-    "ranking_loss",
     "ranking_loss_detail",
-    "read_benchmark_csv",
     "render_benchmark_csv",
     "run_algorithm",
     "run_benchmark",
@@ -144,6 +137,5 @@ __all__ = [
     "set_ci",
     "split_dataset",
     "theta_candidates",
-    "write_benchmark_csv",
     "__version__",
 ]

@@ -64,9 +64,9 @@ def run_algorithm(name: str, ds, cfg: CiConfig = CiConfig(), max_z: int = 1):
     for t in labels:
         candidates = sorted(set(range(ds.n_vars)) - {t})
         if name == "hiton-intersect":
-            mbs[t] = hiton_mb(ds, t, candidates, cfg, tester=tester).mb
+            mbs[t] = hiton_mb(tester, t, candidates, cfg).mb
         else:
-            mbs[t] = iamb(ds, t, candidates, cfg, tester=tester)
+            mbs[t] = iamb(tester, t, candidates, cfg)
     common = intersection_common(mbs, labels)
     claimed = set().union(*common.values()) if common else set()
     label_set = set(labels)
@@ -76,15 +76,13 @@ def run_algorithm(name: str, ds, cfg: CiConfig = CiConfig(), max_z: int = 1):
 
 def run_benchmark(template: GenConfig, p_c_grid, p_m_grid,
                   algorithms=ALGORITHMS, n_seeds: int = 5,
-                  cfg: CiConfig = CiConfig(), max_z: int = 1,
-                  workers: int = 1):
+                  cfg: CiConfig = CiConfig(), max_z: int = 1):
     """Sweep the grid; returns (csv rows, per-cell details).
 
     The same generated datasets are reused across algorithms within a cell,
     so comparisons are paired. Generation or scoring never consumes the
     discovery algorithms' RNG (they have none); replicate r of a cell uses
     ``rep_seed(template.seed, r)`` for both network and sample draws.
-    ``workers`` is accepted for old callers and manifests, and is ignored.
     """
     rows: list = []
     details: list = []
@@ -148,26 +146,3 @@ def render_benchmark_csv(rows) -> str:
         out["lg_time"] = f"{row['lg_time']:.3f}"
         writer.writerow(out)
     return buf.getvalue()
-
-
-def write_benchmark_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(render_benchmark_csv(rows))
-
-
-def read_benchmark_csv(path) -> list:
-    """Inverse of write_benchmark_csv (numeric fields parsed back)."""
-    rows = []
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    for row in csv.DictReader(lines):
-        rows.append({
-            "metric": row["metric"],
-            "p_c": float(row["p_c"]),
-            "p_m": float(row["p_m"]),
-            "algorithm": row["algorithm"],
-            "mean": float(row["mean"]),
-            "std": float(row["std"]),
-            "n_seeds": int(row["n_seeds"]),
-            "lg_time": float(row["lg_time"])})
-    return rows

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .benchmark import render_benchmark_csv, run_algorithm, run_benchmark
 from .citest import CiConfig
-from .data import Dataset, load_dataset
+from .data import load_dataset
 from .discovery import clcd
 from .metrics import (
     br_nb_predict,

@@ -22,9 +22,11 @@ class Dataset:
     ``codes`` has shape (n_vars, n_rows) so a test over (x, y | z) touches
     only the rows it involves. Codes for variable v lie in [0, arities[v]).
     ``is_label`` marks target columns; everything else is a feature.
-    The arrays are read-only and ``codes`` owns its data (a view is copied),
-    so ``_memo`` (values derived from them, kept by ``citest``) never goes
-    stale; it dies with the dataset. Equality is identity.
+    The arrays are the dataset's own read-only copies, so ``_memo`` (values
+    derived from them, kept by ``citest``) never goes stale; it dies with the
+    dataset. ``codes`` is kept without a copy only when it is already a
+    read-only, C-contiguous int64 array that owns its data, as the loaders
+    and ``synth.sample`` hand it over. Equality is identity.
     """
 
     codes: np.ndarray
@@ -34,11 +36,13 @@ class Dataset:
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        codes = np.ascontiguousarray(self.codes, dtype=np.int64)
-        if codes.base is not None:
-            codes = codes.copy()
-        arities = np.asarray(self.arities, dtype=np.int64)
-        is_label = np.asarray(self.is_label, dtype=bool)
+        codes = self.codes
+        if not (isinstance(codes, np.ndarray) and codes.dtype == np.int64
+                and codes.flags.c_contiguous and codes.flags.owndata
+                and not codes.flags.writeable):
+            codes = np.array(codes, dtype=np.int64, order="C")
+        arities = np.array(self.arities, dtype=np.int64)
+        is_label = np.array(self.is_label, dtype=bool)
         if codes.ndim != 2:
             raise ValueError("codes must be 2-dimensional (n_vars, n_rows)")
         n_vars = codes.shape[0]
@@ -107,6 +111,7 @@ def load_dataset(csv_path, meta_path) -> Dataset:
         text = fh.read()
     header, codes, arities = (_parse_integers(text, label_names)
                               or _parse_by_column(text, label_names))
+    codes.setflags(write=False)
     is_label = np.array([name in set(label_names) for name in header])
     return Dataset(codes=codes, arities=arities, is_label=is_label,
                    names=tuple(header))

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 from .citest import CiConfig
 from .data import Dataset, VariableId
-from .equivalence import EquivalencePair, find_equivalences
-from .mb import CiTester, G2Tester, LocalStructure, hiton_mb, hiton_pc
+from .equivalence import find_equivalences
+from .mb import CiTester, G2Tester, hiton_mb, hiton_pc
 
 log = logging.getLogger("clcd")
 
@@ -35,10 +35,6 @@ class ThetaMatch:
 class ThetaWitness:
     z: frozenset
     branches: dict               # label -> ThetaMatch
-
-    @property
-    def satisfied_labels(self) -> frozenset:
-        return frozenset(self.branches)
 
 
 @dataclass
@@ -63,18 +59,15 @@ def _all_candidates(ds: Dataset, target: VariableId) -> set:
     return set(range(ds.n_vars)) - {target}
 
 
-def phase1_structures(ds: Dataset, labels, cfg: CiConfig,
-                      tester: CiTester | None = None,
-                      symmetric: bool = False) -> dict:
+def phase1_structures(tester: CiTester, ds: Dataset, labels,
+                      cfg: CiConfig) -> dict:
     """Learn a local structure for every label over all other variables."""
-    if tester is None:
-        tester = G2Tester(ds, cfg)
-    return {t: hiton_mb(ds, t, _all_candidates(ds, t), cfg, tester,
-                        symmetric) for t in sorted(labels)}
+    return {t: hiton_mb(tester, t, _all_candidates(ds, t), cfg)
+            for t in sorted(labels)}
 
 
-def phase2_retrieve(ds: Dataset, labels, structures: dict, cfg: CiConfig,
-                    max_z: int = 1, tester: CiTester | None = None) -> dict:
+def phase2_retrieve(tester: CiTester, ds: Dataset, labels, structures: dict,
+                    cfg: CiConfig, max_z: int = 1) -> dict:
     """Restore variables hidden behind a label inside another label's PC.
 
     For each ordered label pair (t_i, t_j) with t_i in PC(t_j), a candidate
@@ -83,8 +76,6 @@ def phase2_retrieve(ds: Dataset, labels, structures: dict, cfg: CiConfig,
     small subset of PC(t_j)∖{t_i} renders Z independent of t_j. Sequential
     over pairs by design: admissions feed later checks.
     """
-    if tester is None:
-        tester = G2Tester(ds, cfg)
     label_set = set(labels)
     for t_j in sorted(labels):
         st = structures[t_j]
@@ -128,16 +119,14 @@ def _phase2_admits(tester, z, t_i, t_j, st, cfg) -> bool:
     return True
 
 
-def phase3_equivalences(ds: Dataset, labels, structures: dict, cfg: CiConfig,
-                        max_z: int = 1,
-                        tester: CiTester | None = None) -> dict:
+def phase3_equivalences(tester: CiTester, ds: Dataset, labels,
+                        structures: dict, cfg: CiConfig,
+                        max_z: int = 1) -> dict:
     """Equivalence scan over labels and every recorded spouse child.
 
     The PC of a non-label child is learned on demand. External sides are
     drawn from features only, so no label can enter a common-variable set.
     """
-    if tester is None:
-        tester = G2Tester(ds, cfg)
     label_set = set(labels)
     children = sorted({c for t in labels
                        for c in structures[t].spouse_children} - label_set)
@@ -146,9 +135,9 @@ def phase3_equivalences(ds: Dataset, labels, structures: dict, cfg: CiConfig,
         if x in structures:
             pc = set(structures[x].pc)
         else:
-            pc, _sepsets = hiton_pc(ds, x, _all_candidates(ds, x), cfg, tester)
+            pc, _sepsets = hiton_pc(tester, x, _all_candidates(ds, x), cfg)
         scan = [f for f in ds.features if f != x and f not in pc]
-        out[x] = find_equivalences(ds, x, pc, scan, cfg, max_z, tester)
+        out[x] = find_equivalences(tester, x, pc, scan, max_z)
     return out
 
 
@@ -193,8 +182,8 @@ def theta_candidates(structures: dict, ei: dict, labels) -> list:
     return sorted(pool, key=lambda c: (len(c), sorted(c)))
 
 
-def clcd(ds: Dataset, labels=None, cfg: CiConfig = CiConfig(),
-         max_z: int = 1, workers: int = 1, tester: CiTester | None = None,
+def clcd(ds: Dataset, cfg: CiConfig = CiConfig(), max_z: int = 1,
+         workers: int = 1, tester: CiTester | None = None,
          phase2: bool = True) -> ClcdOutput:
     """Full pipeline: structures, retrieval, equivalences, Θ classification.
 
@@ -205,18 +194,16 @@ def clcd(ds: Dataset, labels=None, cfg: CiConfig = CiConfig(),
     is accepted so that old callers and manifests still run, and is ignored:
     every phase runs serially on the one tester.
     """
-    if labels is None:
-        labels = ds.labels
-    labels = sorted(labels)
+    labels = sorted(ds.labels)
     if len(labels) < 2:
         raise ValueError("need at least two labels")
     if tester is None:
         tester = G2Tester(ds, cfg)
 
-    structures = phase1_structures(ds, labels, cfg, tester)
+    structures = phase1_structures(tester, ds, labels, cfg)
     if phase2:
-        phase2_retrieve(ds, labels, structures, cfg, max_z, tester)
-    ei = phase3_equivalences(ds, labels, structures, cfg, max_z, tester)
+        phase2_retrieve(tester, ds, labels, structures, cfg, max_z)
+    ei = phase3_equivalences(tester, ds, labels, structures, cfg, max_z)
 
     label_set = set(labels)
     ccv: dict = {}

@@ -9,9 +9,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .citest import CiConfig
-from .data import Dataset, VariableId
-from .mb import CiTester, G2Tester
+from .data import VariableId
+from .mb import CiTester
 
 
 @dataclass(frozen=True)
@@ -38,21 +37,18 @@ class EquivalencePair:
         return self.s, self.z
 
 
-def contains_equivalent_info(ds: Dataset, target: VariableId, s, z,
-                             cfg: CiConfig = CiConfig(),
-                             tester: CiTester | None = None) -> bool:
+def contains_equivalent_info(tester: CiTester, target: VariableId,
+                             s, z) -> bool:
     """True iff s and z are information-equivalent for the target.
 
     Checks, in order: target ⊥̸ s, target ⊥̸ z, target ⊥ s | z,
-    target ⊥ z | s. All four run through the composite-variable G² test.
+    target ⊥ z | s. All four are set tests on the tester.
     """
     s, z = frozenset(s), frozenset(z)
     if not s or not z:
         raise ValueError("both sides must be nonempty")
     if s & z or target in s | z:
         raise ValueError("target, s and z must not overlap")
-    if tester is None:
-        tester = G2Tester(ds, cfg)
     if tester.set_independent((target,), s, ()):
         return False
     if tester.set_independent((target,), z, ()):
@@ -61,9 +57,8 @@ def contains_equivalent_info(ds: Dataset, target: VariableId, s, z,
             and tester.set_independent((target,), z, s))
 
 
-def find_equivalences(ds: Dataset, x: VariableId, pc_x, candidates,
-                      cfg: CiConfig = CiConfig(), max_z: int = 1,
-                      tester: CiTester | None = None) -> list:
+def find_equivalences(tester: CiTester, x: VariableId, pc_x, candidates,
+                      max_z: int = 1) -> list:
     """Scan for external sets equivalent to PC subsets of ``x``.
 
     Z ranges over subsets (sizes 1..max_z) of candidates∖pc_x that are
@@ -73,8 +68,6 @@ def find_equivalences(ds: Dataset, x: VariableId, pc_x, candidates,
     """
     if max_z < 1:
         raise ValueError("max_z must be >= 1")
-    if tester is None:
-        tester = G2Tester(ds, cfg)
     pc = sorted(set(pc_x) - {x})
     pool = sorted(set(candidates) - set(pc) - {x})
     # prefilter: variables marginally independent of x can never appear in Z
@@ -90,7 +83,7 @@ def find_equivalences(ds: Dataset, x: VariableId, pc_x, candidates,
             if size > 1 and tester.set_independent((x,), z, ()):
                 continue
             for s in s_subsets:
-                if contains_equivalent_info(ds, x, s, z, cfg, tester):
+                if contains_equivalent_info(tester, x, s, z):
                     found.append(EquivalencePair(
                         target=x, s=frozenset(s), z=frozenset(z)))
     return found

@@ -1,7 +1,7 @@
 """Local causal structure learning: HITON-style PC/MB search and IAMB.
 
-All searches go through a tester object (:class:`G2Tester` by default) so an
-exact graphical oracle can stand in for the data-driven test in checks.
+Every search takes a tester as its first argument: :class:`G2Tester` on data,
+or an exact graphical oracle that stands in for it in checks.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ def _search_sepset(tester, target, x, pool, max_size):
     return None
 
 
-def hiton_pc(ds, target: VariableId, candidates, cfg: CiConfig,
-             tester: CiTester | None = None, symmetric: bool = False):
+def hiton_pc(tester: CiTester, target: VariableId, candidates,
+             cfg: CiConfig, symmetric: bool = False):
     """Parent/children search with interleaved backward conditioning.
 
     Candidates enter in ascending order of marginal p-value (ties by id);
@@ -130,8 +130,6 @@ def hiton_pc(ds, target: VariableId, candidates, cfg: CiConfig,
 
     Returns (pc set, sepsets map for every rejected candidate).
     """
-    if tester is None:
-        tester = G2Tester(ds, cfg)
     pool = sorted(set(candidates) - {target})
     sepsets: dict = {}
     ranked = []
@@ -170,7 +168,7 @@ def hiton_pc(ds, target: VariableId, candidates, cfg: CiConfig,
     if symmetric:
         for x in sorted(pc):
             reverse_pc, reverse_sep = hiton_pc(
-                ds, x, (set(pool) | {target}) - {x}, cfg, tester=tester)
+                tester, x, (set(pool) | {target}) - {x}, cfg)
             if target not in reverse_pc:
                 pc.remove(x)
                 # the reverse search separated (target, x); reuse its witness
@@ -179,9 +177,8 @@ def hiton_pc(ds, target: VariableId, candidates, cfg: CiConfig,
     return set(pc), sepsets
 
 
-def hiton_mb(ds, target: VariableId, candidates, cfg: CiConfig,
-             tester: CiTester | None = None,
-             symmetric: bool = False) -> LocalStructure:
+def hiton_mb(tester: CiTester, target: VariableId, candidates,
+             cfg: CiConfig, symmetric: bool = False) -> LocalStructure:
     """Markov boundary via PC search plus the spouse collider check.
 
     For every X in the PC of a PC member Y (X outside PC ∪ {target}), X is a
@@ -189,15 +186,13 @@ def hiton_mb(ds, target: VariableId, candidates, cfg: CiConfig,
     sepset(X) ∪ {Y}. No further trimming: conditioning a weak collider signal
     on the whole boundary would wash it out and silently drop true spouses.
     """
-    if tester is None:
-        tester = G2Tester(ds, cfg)
     scope = set(candidates) - {target}
-    pc, sepsets = hiton_pc(ds, target, scope, cfg, tester, symmetric)
+    pc, sepsets = hiton_pc(tester, target, scope, cfg, symmetric)
 
     spouses: dict = {}
     for child in sorted(pc):
-        child_pc, _ = hiton_pc(ds, child, (scope | {target}) - {child},
-                               cfg, tester, symmetric)
+        child_pc, _ = hiton_pc(tester, child, (scope | {target}) - {child},
+                               cfg, symmetric)
         for x in sorted(child_pc):
             if x == target or x in pc:
                 continue
@@ -209,8 +204,8 @@ def hiton_mb(ds, target: VariableId, candidates, cfg: CiConfig,
                           sepsets=sepsets)
 
 
-def iamb(ds, target: VariableId, candidates, cfg: CiConfig,
-         tester: CiTester | None = None) -> set:
+def iamb(tester: CiTester, target: VariableId, candidates,
+         cfg: CiConfig) -> set:
     """Incremental-association Markov boundary baseline.
 
     Grows by the strongest dependent variable given the current boundary
@@ -218,8 +213,6 @@ def iamb(ds, target: VariableId, candidates, cfg: CiConfig,
     conditioning renders independent. Conditioning sets are not capped; the
     full-boundary tests are what make the algorithm sample-hungry.
     """
-    if tester is None:
-        tester = G2Tester(ds, cfg)
     pool = sorted(set(candidates) - {target})
     mb: list = []
     while True:

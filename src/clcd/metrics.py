@@ -30,15 +30,12 @@ class VariableScores:
 
 
 def _flatten_common(found_common) -> set:
-    if isinstance(found_common, dict):
-        pool: set = set()
-        for members in found_common.values():
-            for m in members:
-                pool |= set(m) if isinstance(m, (set, frozenset)) else {m}
-        return pool
-    pool = set()
-    for m in found_common:
-        pool |= set(m) if isinstance(m, (set, frozenset)) else {m}
+    groups = (found_common.values() if isinstance(found_common, dict)
+              else [found_common])
+    pool: set = set()
+    for members in groups:
+        for m in members:
+            pool |= set(m) if isinstance(m, (set, frozenset)) else {m}
     return pool
 
 
@@ -82,14 +79,6 @@ def score_variables(found_common, found_specific: dict, truth) -> dict:
 # Multi-label prediction metrics
 
 
-@dataclass(frozen=True)
-class MlMetrics:
-    hamming: float
-    ranking: float
-    f_macro: float
-    f_micro: float
-
-
 def hamming_loss(pred: np.ndarray, truth: np.ndarray) -> float:
     pred = np.asarray(pred)
     truth = np.asarray(truth)
@@ -120,10 +109,6 @@ def ranking_loss_detail(scores: np.ndarray, truth: np.ndarray):
         counted += 1
     loss = total / counted if counted else 0.0
     return loss, skipped
-
-
-def ranking_loss(scores: np.ndarray, truth: np.ndarray) -> float:
-    return ranking_loss_detail(scores, truth)[0]
 
 
 def f_scores(pred: np.ndarray, truth: np.ndarray):
@@ -230,9 +215,9 @@ def split_dataset(ds: Dataset, frac: float, seed):
         raise ValueError("split leaves an empty part")
 
     def take(rows) -> Dataset:
-        return Dataset(codes=np.ascontiguousarray(ds.codes[:, rows]),
-                       arities=ds.arities.copy(),
-                       is_label=ds.is_label.copy(),
-                       names=ds.names)
+        codes = np.ascontiguousarray(ds.codes[:, rows])
+        codes.setflags(write=False)
+        return Dataset(codes=codes, arities=ds.arities,
+                       is_label=ds.is_label, names=ds.names)
 
     return take(np.sort(order[:cut])), take(np.sort(order[cut:]))

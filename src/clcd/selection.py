@@ -60,9 +60,8 @@ def _always_dependent(tester, x: VariableId, target: VariableId,
     return True
 
 
-def delabel_pc(ds: Dataset, label: VariableId, structures: dict, labels,
-               cfg: CiConfig = CiConfig(), tester: CiTester | None = None,
-               source_pc: dict | None = None) -> set:
+def delabel_pc(tester: CiTester, label: VariableId, structures: dict, labels,
+               cfg: CiConfig, source_pc: dict | None = None) -> set:
     """Replace labels in PC(label) by members drawn from their own PCs.
 
     ``source_pc`` maps each label to the PC snapshot used as its substitution
@@ -71,8 +70,6 @@ def delabel_pc(ds: Dataset, label: VariableId, structures: dict, labels,
     PC; all candidates of one round are judged against the same snapshot.
     A removed label is banned from re-admission, which breaks label cycles.
     """
-    if tester is None:
-        tester = G2Tester(ds, cfg)
     if source_pc is None:
         source_pc = {t: frozenset(structures[t].pc) for t in labels}
     st = structures[label]
@@ -108,8 +105,8 @@ def delabel_pc(ds: Dataset, label: VariableId, structures: dict, labels,
     return set(st.pc)
 
 
-def select_common(ds: Dataset, labels, structures: dict, ei: dict,
-                  cfg: CiConfig = CiConfig()) -> FeatureSelectionResult:
+def select_common(labels, structures: dict,
+                  ei: dict) -> FeatureSelectionResult:
     """Greedily pick feature sets covering the most labels at once.
 
     Each round scores every candidate by how many labels it can stand in for
@@ -195,14 +192,11 @@ def clcd_fs(ds: Dataset, cfg: CiConfig = CiConfig(), max_z: int = 1,
     labels = sorted(ds.labels)
     if tester is None:
         tester = G2Tester(ds, cfg)
-    structures = phase1_structures(ds, labels, cfg, tester=tester)
+    structures = phase1_structures(tester, ds, labels, cfg)
     if len(labels) > 1:
-        phase2_retrieve(ds, labels, structures, cfg, max_z=max_z,
-                        tester=tester)
+        phase2_retrieve(tester, ds, labels, structures, cfg, max_z=max_z)
     source_pc = {t: frozenset(structures[t].pc) for t in labels}
     for t in labels:
-        delabel_pc(ds, t, structures, labels, cfg, tester=tester,
-                   source_pc=source_pc)
-    ei = phase3_equivalences(ds, labels, structures, cfg, max_z=max_z,
-                             tester=tester)
-    return select_common(ds, labels, structures, ei, cfg)
+        delabel_pc(tester, t, structures, labels, cfg, source_pc=source_pc)
+    ei = phase3_equivalences(tester, ds, labels, structures, cfg, max_z=max_z)
+    return select_common(labels, structures, ei)

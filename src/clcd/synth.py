@@ -113,12 +113,6 @@ class GroundTruth:
     common_true: dict
     specific_true: dict
 
-    def class_of(self, v: int) -> frozenset:
-        for cls in self.equivalence_classes:
-            if v in cls:
-                return cls
-        return frozenset((v,))
-
     def common_pool(self) -> set:
         pool: set = set()
         for members in self.common_true.values():
@@ -489,8 +483,9 @@ def sample(net: BayesNet, n: int, seed) -> Dataset:
                               net.arities[i] - 1)
     if not any(net.is_label):
         raise ValueError("network has no label nodes to form a dataset")
-    return Dataset(codes=codes, arities=np.array(net.arities),
-                   is_label=np.array(net.is_label), names=net.names)
+    codes.setflags(write=False)
+    return Dataset(codes=codes, arities=net.arities,
+                   is_label=net.is_label, names=net.names)
 
 
 # ---------------------------------------------------------------------------

@@ -118,8 +118,8 @@ def test_criterion_03_oracle_exactness():
         nets += 1
         tester = DsepTester(net, cfg)
         for t in range(n):
-            found = hiton_mb(None, t, set(range(n)) - {t}, cfg,
-                             tester=tester, symmetric=True).mb
+            found = hiton_mb(tester, t, set(range(n)) - {t}, cfg,
+                             symmetric=True).mb
             checked += 1
             errors += found != graphical_mb(net, t)
     elapsed = time.perf_counter() - started
@@ -140,8 +140,8 @@ def test_criterion_04_mb_recovery():
         ds = sample(net, 5000, seed)
         tester = G2Tester(ds, CiConfig())
         for t in net.labels:
-            found = hiton_mb(ds, t, set(range(ds.n_vars)) - {t}, CiConfig(),
-                             tester=tester).mb
+            found = hiton_mb(tester, t, set(range(ds.n_vars)) - {t},
+                             CiConfig()).mb
             true = graphical_mb(net, t)
             tp = len(found & true)
             precisions.append(tp / len(found) if found else 1.0)
@@ -174,8 +174,8 @@ def test_criterion_05_equivalence_detection():
                 continue
             for c in copies:
                 total += 1
-                hits += contains_equivalent_info(ds, targets[0], [orig], [c],
-                                                 tester=tester)
+                hits += contains_equivalent_info(tester, targets[0], [orig],
+                                                 [c])
     recall = hits / total
 
     false_hits = tested = 0
@@ -194,8 +194,8 @@ def test_criterion_05_equivalence_detection():
             for s in sorted(pc):
                 for z in outside:
                     tested += 1
-                    false_hits += contains_equivalent_info(ds, t, [s], [z],
-                                                           tester=tester)
+                    false_hits += contains_equivalent_info(tester, t, [s],
+                                                           [z])
     rate = false_hits / tested
     elapsed = time.perf_counter() - started
     ok = recall >= 0.90 and rate <= 2 * cfg.alpha
@@ -269,11 +269,12 @@ def test_criterion_08_cross_label_retrieval():
     restored = ablated = 0
     for seed in range(10):
         ds = sample(net, 5000, seed=seed)
-        st = phase1_structures(ds, labels, cfg)
+        tester = G2Tester(ds, cfg)
+        st = phase1_structures(tester, ds, labels, cfg)
         if any(0 in st[t].pc for t in labels):
             ablated += 1
         work = {t: st[t].clone() for t in labels}
-        phase2_retrieve(ds, labels, work, cfg)
+        phase2_retrieve(tester, ds, labels, work, cfg)
         if all(0 in work[t].pc for t in labels):
             restored += 1
     ok = restored >= 8 and ablated <= 2
@@ -335,7 +336,7 @@ def test_criterion_09_selection_properties():
                     if hit:
                         break
                 if hit is None or not contains_equivalent_info(
-                        ds, hit.target, hit.s, hit.z, tester=tester):
+                        tester, hit.target, hit.s, hit.z):
                     recheck_bad += 1
     rate = passed / tested
     elapsed = time.perf_counter() - started

@@ -1,15 +1,17 @@
+import csv
+
 import numpy as np
 import pytest
 
 from clcd.benchmark import (
     ALGORITHMS,
+    CSV_HEADER,
     METRIC_NAMES,
     intersection_common,
-    read_benchmark_csv,
+    render_benchmark_csv,
     rep_seed,
     run_algorithm,
     run_benchmark,
-    write_benchmark_csv,
 )
 from clcd.synth import GenConfig, generate, sample
 
@@ -39,7 +41,7 @@ def test_run_algorithm_names():
         run_algorithm("pc-simple", ds)
 
 
-def test_run_benchmark_grid_and_csv_roundtrip(tmp_path):
+def test_run_benchmark_grid_and_csv_roundtrip():
     template = GenConfig(n_labels=2, n_features=10, n_samples=1200,
                          mb_size_range=(2, 3), seed=3)
     rows, details = run_benchmark(template, p_c_grid=[0.0],
@@ -58,17 +60,19 @@ def test_run_benchmark_grid_and_csv_roundtrip(tmp_path):
         a, b = details[2 * cell], details[2 * cell + 1]
         assert [r["seed"] for r in a["runs"]] == [r["seed"] for r in b["runs"]]
 
-    path = tmp_path / "report.csv"
-    write_benchmark_csv(rows, path)
-    text = path.read_text()
-    assert text.startswith("#")
-    back = read_benchmark_csv(path)
+    # the report.csv body the CLI writes: a comment line, then plain CSV
+    comment, *lines = render_benchmark_csv(rows).splitlines()
+    assert comment.startswith("#")
+    reader = csv.DictReader(lines)
+    back = list(reader)
+    assert tuple(reader.fieldnames) == CSV_HEADER
     assert len(back) == len(rows)
     for orig, parsed in zip(rows, back):
         assert parsed["metric"] == orig["metric"]
         assert parsed["algorithm"] == orig["algorithm"]
-        assert parsed["mean"] == pytest.approx(orig["mean"], abs=1e-6)
-        assert parsed["lg_time"] == pytest.approx(orig["lg_time"], abs=1e-3)
+        assert float(parsed["mean"]) == pytest.approx(orig["mean"], abs=1e-6)
+        assert float(parsed["lg_time"]) == pytest.approx(orig["lg_time"],
+                                                         abs=1e-3)
 
 
 def test_run_benchmark_scores_are_deterministic():

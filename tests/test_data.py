@@ -59,6 +59,40 @@ def test_dataset_copies_a_view_of_writable_codes():
     assert (moved.dof, round(moved.statistic, 2)) == (2, 0.57)
 
 
+def test_dataset_leaves_the_callers_arrays_writable():
+    codes = np.array([[0, 1, 0, 1], [1, 1, 0, 0]], dtype=np.int64)
+    is_label = np.array([False, True])
+    ds = Dataset(codes=codes, arities=np.array([2, 2]), is_label=is_label,
+                 names=("a", "y"))
+    assert codes.flags.writeable and is_label.flags.writeable
+    codes[0, 0] = 1
+    is_label[0] = True
+    assert ds.codes[0].tolist() == [0, 1, 0, 1]
+    assert ds.labels == (1,)
+    # a read-only array that owns its data is the one handover kept as is
+    frozen = np.array([[0, 1, 0, 1], [1, 1, 0, 0]], dtype=np.int64)
+    frozen.setflags(write=False)
+    assert Dataset(codes=frozen, arities=[2, 2], is_label=[False, True],
+                   names=("a", "y")).codes is frozen
+
+
+def test_dataset_does_not_follow_writes_to_arities_or_is_label():
+    codes = np.array([[0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1],
+                      [1, 0, 1, 0]])
+    ar = np.array([2, 2, 2, 2])
+    lab = np.array([False, False, False, True])
+    ds = Dataset(codes=codes, arities=ar[:], is_label=lab[:],
+                 names=tuple("abcy"))
+    first = g2_test(ds, 0, 1)
+    ar[0] = 1
+    lab[0] = True
+    assert not np.shares_memory(ds.arities, ar)
+    assert not np.shares_memory(ds.is_label, lab)
+    assert ds.arities.tolist() == [2, 2, 2, 2]
+    assert ds.labels == (3,)
+    assert g2_test(ds, 0, 1) == first
+
+
 def test_dataset_equality_is_identity():
     ds = build_dataset({"a": [0, 1], "y": [1, 0]}, labels={"y"})
     twin = dataclasses.replace(ds)

@@ -13,7 +13,7 @@ from clcd.discovery import (
     theta_candidates,
 )
 from clcd.equivalence import EquivalencePair
-from clcd.mb import LocalStructure
+from clcd.mb import G2Tester, LocalStructure
 from clcd.synth import BayesNet, DsepTester, GenConfig, generate, sample
 from conftest import bsc, xor_labels_net
 
@@ -30,7 +30,8 @@ def _two_label_net():
 
 def test_phase1_learns_boundaries():
     ds = sample(_two_label_net(), 6000, seed=0)
-    st = phase1_structures(ds, [1, 2], CiConfig())
+    cfg = CiConfig()
+    st = phase1_structures(G2Tester(ds, cfg), ds, [1, 2], cfg)
     assert st[1].mb == {0, 3}
     assert st[2].mb == {0}
 
@@ -40,12 +41,13 @@ def test_phase2_restores_xored_parent():
     ds = sample(net, 6000, seed=1)
     labels = list(net.labels)
     cfg = CiConfig()
-    st = phase1_structures(ds, labels, cfg)
+    tester = G2Tester(ds, cfg)
+    st = phase1_structures(tester, ds, labels, cfg)
     t1, t2 = labels
     # the XOR hides X from each label's own search: only the twin remains
     assert st[t1].pc == {t2}
     assert st[t2].pc == {t1}
-    phase2_retrieve(ds, labels, st, cfg)
+    phase2_retrieve(tester, ds, labels, st, cfg)
     assert 0 in st[t1].pc  # X restored
     assert 0 in st[t2].pc
     assert 1 not in st[t1].pc  # the invisible parent N stays out
@@ -75,8 +77,9 @@ def test_phase3_finds_planted_pair():
         names=("F0", "L0", "L1", "F0c"))
     ds = sample(net, 5000, seed=3)
     cfg = CiConfig()
-    st = phase1_structures(ds, [1, 2], cfg)
-    ei = phase3_equivalences(ds, [1, 2], st, cfg)
+    tester = G2Tester(ds, cfg)
+    st = phase1_structures(tester, ds, [1, 2], cfg)
+    ei = phase3_equivalences(tester, ds, [1, 2], st, cfg)
     for lab in (1, 2):
         zs = {p.z for p in ei[lab]}
         assert frozenset({3}) in zs or frozenset({0}) in zs

@@ -10,7 +10,7 @@ from clcd.equivalence import (
     contains_equivalent_info,
     find_equivalences,
 )
-from clcd.mb import hiton_pc
+from clcd.mb import G2Tester, hiton_pc
 from clcd.synth import (BayesNet, GenConfig, generate, inject_equivalence,
                         sample)
 from conftest import bsc, build_dataset
@@ -39,9 +39,9 @@ def _net_with_copy():
 
 
 def test_copy_is_equivalent_info():
-    ds = sample(_net_with_copy(), 2000, seed=0)
-    assert contains_equivalent_info(ds, 1, s=[0], z=[2])
-    assert contains_equivalent_info(ds, 1, s=[2], z=[0])
+    tester = G2Tester(sample(_net_with_copy(), 2000, seed=0), CiConfig())
+    assert contains_equivalent_info(tester, 1, s=[0], z=[2])
+    assert contains_equivalent_info(tester, 1, s=[2], z=[0])
 
 
 def test_noisy_proxy_is_not_equivalent():
@@ -53,8 +53,8 @@ def test_noisy_proxy_is_not_equivalent():
         arities=(2, 2, 2),
         is_label=(False, True, False),
         names=("X", "T", "Z"))
-    ds = sample(net, 8000, seed=1)
-    assert not contains_equivalent_info(ds, 1, s=[0], z=[2])
+    tester = G2Tester(sample(net, 8000, seed=1), CiConfig())
+    assert not contains_equivalent_info(tester, 1, s=[0], z=[2])
 
 
 def test_marginal_independence_fails_fast():
@@ -64,22 +64,24 @@ def test_marginal_independence_fails_fast():
         "a": rng.integers(0, 2, 1500),
         "b": rng.integers(0, 2, 1500),
     })
-    assert not contains_equivalent_info(ds, 0, s=[1], z=[2])
+    assert not contains_equivalent_info(G2Tester(ds, CiConfig()), 0,
+                                        s=[1], z=[2])
 
 
 def test_overlap_rejected():
-    ds = sample(_net_with_copy(), 100, seed=3)
+    tester = G2Tester(sample(_net_with_copy(), 100, seed=3), CiConfig())
     with pytest.raises(ValueError, match="overlap"):
-        contains_equivalent_info(ds, 1, s=[0], z=[0])
+        contains_equivalent_info(tester, 1, s=[0], z=[0])
     with pytest.raises(ValueError, match="overlap"):
-        contains_equivalent_info(ds, 1, s=[1], z=[2])
+        contains_equivalent_info(tester, 1, s=[1], z=[2])
     with pytest.raises(ValueError, match="nonempty"):
-        contains_equivalent_info(ds, 1, s=[], z=[2])
+        contains_equivalent_info(tester, 1, s=[], z=[2])
 
 
 def test_find_equivalences_planted_copy():
     ds = sample(_net_with_copy(), 2000, seed=4)
-    pairs = find_equivalences(ds, 1, pc_x=[0], candidates=[0, 2])
+    pairs = find_equivalences(G2Tester(ds, CiConfig()), 1, pc_x=[0],
+                              candidates=[0, 2])
     assert pairs == [EquivalencePair(target=1, s=frozenset({0}),
                                      z=frozenset({2}))]
 
@@ -97,7 +99,8 @@ def test_find_equivalences_injected_net():
     assert net.names[2:] == ("X_c1", "X_c2")
     assert eq_class == frozenset({0, 2, 3})
     ds = sample(net, 3000, seed=6)
-    pairs = find_equivalences(ds, 1, pc_x=[0], candidates=[0, 2, 3])
+    pairs = find_equivalences(G2Tester(ds, CiConfig()), 1, pc_x=[0],
+                              candidates=[0, 2, 3])
     zs = {p.z for p in pairs}
     assert frozenset({2}) in zs
     assert frozenset({3}) in zs
@@ -105,9 +108,9 @@ def test_find_equivalences_injected_net():
 
 
 def test_find_equivalences_respects_max_z():
-    ds = sample(_net_with_copy(), 500, seed=7)
+    tester = G2Tester(sample(_net_with_copy(), 500, seed=7), CiConfig())
     with pytest.raises(ValueError, match="max_z"):
-        find_equivalences(ds, 1, pc_x=[0], candidates=[2], max_z=0)
+        find_equivalences(tester, 1, pc_x=[0], candidates=[2], max_z=0)
 
 
 def test_no_false_pairs_on_independent_noise():
@@ -122,7 +125,8 @@ def test_no_false_pairs_on_independent_noise():
     hits = 0
     for seed in range(20):
         ds = sample(net, 1500, seed=seed)
-        hits += bool(find_equivalences(ds, 1, pc_x=[0], candidates=[0, 2]))
+        hits += bool(find_equivalences(G2Tester(ds, CiConfig()), 1,
+                                       pc_x=[0], candidates=[0, 2]))
     assert hits <= 2  # a few alpha-level accidents are tolerable
 
 
@@ -136,8 +140,10 @@ def test_deterministic_output_order():
         names=("X", "T"))
     net, _ = inject_equivalence(base, 0, copies=3, rng=rng)
     ds = sample(net, 2500, seed=9)
-    first = find_equivalences(ds, 1, pc_x=[0], candidates=[0, 2, 3, 4])
-    second = find_equivalences(ds, 1, pc_x=[0], candidates=[4, 3, 2, 0])
+    first = find_equivalences(G2Tester(ds, CiConfig()), 1, pc_x=[0],
+                              candidates=[0, 2, 3, 4])
+    second = find_equivalences(G2Tester(ds, CiConfig()), 1, pc_x=[0],
+                               candidates=[4, 3, 2, 0])
     assert first == second
     assert [tuple(sorted(p.z)) for p in first] == sorted(
         tuple(sorted(p.z)) for p in first)
@@ -153,13 +159,15 @@ def test_injected_duplicate_of_pc_member_pairs_with_it(seed):
                                 seed=int(rng.integers(1000))))
     ds = sample(net, 1000, int(rng.integers(1000)))
     x = ds.labels[0]
-    pc, _ = hiton_pc(ds, x, range(ds.n_vars), CiConfig())
+    pc, _ = hiton_pc(G2Tester(ds, CiConfig()), x, range(ds.n_vars),
+                     CiConfig())
     for m in sorted(pc):
         copy = rng.permutation(ds.arity(m))[ds.codes[m]]
         dup = Dataset(codes=np.vstack([ds.codes, copy]),
                       arities=np.append(ds.arities, ds.arity(m)),
                       is_label=np.append(ds.is_label, False),
                       names=ds.names + ("dup",))
-        found = find_equivalences(dup, x, pc, range(dup.n_vars))
+        found = find_equivalences(G2Tester(dup, CiConfig()), x, pc,
+                                  range(dup.n_vars))
         assert [(p.s, p.z) for p in found if ds.n_vars in p.z] == [
             (frozenset({m}), frozenset({ds.n_vars}))]

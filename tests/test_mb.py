@@ -16,9 +16,9 @@ def _scope(net, target):
 def test_hiton_pc_chain_oracle(chain_net):
     cfg = CiConfig(max_cond_size=3)
     tester = DsepTester(chain_net, cfg)
-    pc, seps = hiton_pc(None, 1, [0, 2], cfg, tester=tester)
+    pc, seps = hiton_pc(tester, 1, [0, 2], cfg)
     assert pc == {0, 2}
-    pc2, seps2 = hiton_pc(None, 2, [0, 1], cfg, tester=tester)
+    pc2, seps2 = hiton_pc(tester, 2, [0, 1], cfg)
     assert pc2 == {1}
     assert seps2[0] == frozenset({1})
 
@@ -26,7 +26,7 @@ def test_hiton_pc_chain_oracle(chain_net):
 def test_hiton_mb_collider_oracle(collider_net):
     cfg = CiConfig(max_cond_size=3)
     tester = DsepTester(collider_net, cfg)
-    out = hiton_mb(None, 0, [1, 2], cfg, tester=tester)
+    out = hiton_mb(tester, 0, [1, 2], cfg)
     assert out.pc == {2}
     assert out.spouses == {1: {2}}
     assert out.mb == {1, 2}
@@ -54,8 +54,7 @@ def test_oracle_mb_matches_graph_on_random_nets():
                          label_nodes=(0,))
         tester = DsepTester(net, cfg)
         for t in range(net.n_nodes):
-            out = hiton_mb(None, t, _scope(net, t), cfg, tester=tester,
-                           symmetric=True)
+            out = hiton_mb(tester, t, _scope(net, t), cfg, symmetric=True)
             assert out.mb == graphical_mb(net, t), (
                 f"target {t}: {sorted(out.mb)} vs "
                 f"{sorted(graphical_mb(net, t))}")
@@ -67,7 +66,7 @@ def test_sepsets_actually_separate():
     net = random_net(8, 0.35, rng, label_nodes=(0,))
     tester = DsepTester(net, cfg)
     for t in range(net.n_nodes):
-        _, seps = hiton_pc(None, t, _scope(net, t), cfg, tester=tester)
+        _, seps = hiton_pc(tester, t, _scope(net, t), cfg)
         for x, sep in seps.items():
             assert tester.ci(x, t, sorted(sep)).independent
 
@@ -75,13 +74,14 @@ def test_sepsets_actually_separate():
 def test_hiton_pc_chain_sampled(chain_net):
     ds = sample(chain_net, 4000, seed=0)
     cfg = CiConfig()
-    assert hiton_pc(ds, 1, [0, 2], cfg)[0] == {0, 2}
-    assert hiton_pc(ds, 0, [1, 2], cfg)[0] == {1}
+    tester = G2Tester(ds, cfg)
+    assert hiton_pc(tester, 1, [0, 2], cfg)[0] == {0, 2}
+    assert hiton_pc(tester, 0, [1, 2], cfg)[0] == {1}
 
 
 def test_hiton_mb_collider_sampled(collider_net):
     ds = sample(collider_net, 3000, seed=1)
-    out = hiton_mb(ds, 0, [1, 2], CiConfig())
+    out = hiton_mb(G2Tester(ds, CiConfig()), 0, [1, 2], CiConfig())
     assert out.pc == {2}
     assert 1 in out.spouses
     assert out.mb == {1, 2}
@@ -99,13 +99,14 @@ def test_bijective_copy_keeps_exactly_one(chain_net):
                   arities=np.append(ds.arities, 2),
                   is_label=np.append(ds.is_label, False),
                   names=ds.names + ("X1_c",))
-    pc, seps = hiton_pc(ds2, 0, [1, 2, 3], CiConfig())
+    pc, seps = hiton_pc(G2Tester(ds2, CiConfig()), 0, [1, 2, 3], CiConfig())
     assert len(pc & {1, 3}) == 1
     kept = (pc & {1, 3}).pop()
     dropped = ({1, 3} - {kept}).pop()
     assert seps[dropped] == frozenset({kept})
-    # same call, same answer
-    pc_again, _ = hiton_pc(ds2, 0, [1, 2, 3], CiConfig())
+    # same call on a fresh tester, same answer
+    pc_again, _ = hiton_pc(G2Tester(ds2, CiConfig()), 0, [1, 2, 3],
+                           CiConfig())
     assert pc_again == pc
 
 
@@ -137,9 +138,9 @@ def test_symmetric_mode_drops_one_sided_member():
         (frozenset({x, u}), frozenset({t})): (0.001, False),
     }
     cfg = CiConfig(max_cond_size=2)
-    plain, _ = hiton_pc(None, t, [x, u], cfg, tester=_FakeTester(table))
+    plain, _ = hiton_pc(_FakeTester(table), t, [x, u], cfg)
     assert plain == {u}
-    pruned, seps = hiton_pc(None, t, [x, u], cfg, tester=_FakeTester(table),
+    pruned, seps = hiton_pc(_FakeTester(table), t, [x, u], cfg,
                             symmetric=True)
     assert pruned == set()
     assert seps[u] == frozenset({x})
@@ -148,10 +149,10 @@ def test_symmetric_mode_drops_one_sided_member():
 def test_iamb_oracle_and_sampled(collider_net):
     cfg = CiConfig(max_cond_size=3)
     tester = DsepTester(collider_net, cfg)
-    assert iamb(None, 0, [1, 2], cfg, tester=tester) == {1, 2}
-    assert iamb(None, 2, [0, 1], cfg, tester=tester) == {0, 1}
+    assert iamb(tester, 0, [1, 2], cfg) == {1, 2}
+    assert iamb(tester, 2, [0, 1], cfg) == {0, 1}
     ds = sample(collider_net, 3000, seed=4)
-    assert iamb(ds, 0, [1, 2], CiConfig()) == {1, 2}
+    assert iamb(G2Tester(ds, CiConfig()), 0, [1, 2], CiConfig()) == {1, 2}
 
 
 def test_iamb_matches_graph_on_random_nets():
@@ -161,8 +162,8 @@ def test_iamb_matches_graph_on_random_nets():
         net = random_net(int(rng.integers(4, 8)), 0.3, rng, label_nodes=(0,))
         tester = DsepTester(net, cfg)
         for t in range(net.n_nodes):
-            assert iamb(None, t, _scope(net, t), cfg,
-                        tester=tester) == graphical_mb(net, t)
+            assert iamb(tester, t, _scope(net, t),
+                        cfg) == graphical_mb(net, t)
 
 
 def test_g2_tester_caches():
@@ -211,8 +212,9 @@ def test_row_permutation_leaves_boundaries_identical():
     cfg = CiConfig()
     scope = range(ds.n_vars)
     for t in ds.labels:
-        assert iamb(shuffled, t, scope, cfg) == iamb(ds, t, scope, cfg)
-        assert hiton_mb(shuffled, t, scope, cfg) == hiton_mb(ds, t, scope, cfg)
+        for search in (iamb, hiton_mb):
+            assert (search(G2Tester(shuffled, cfg), t, scope, cfg)
+                    == search(G2Tester(ds, cfg), t, scope, cfg))
 
 
 def test_g2_and_dsep_testers_share_the_tester_protocol(chain_net):

@@ -8,7 +8,6 @@ from clcd.metrics import (
     f_scores,
     hamming_loss,
     label_matrix,
-    ranking_loss,
     ranking_loss_detail,
     score_variables,
     split_dataset,
@@ -86,7 +85,6 @@ def test_ranking_skips_unrankable_rows():
     loss, skipped = ranking_loss_detail(scores, truth)
     assert skipped == 2
     assert loss == 0.0
-    assert ranking_loss(scores, truth) == 0.0
 
 
 def test_f_scores_fixture():

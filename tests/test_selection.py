@@ -4,7 +4,7 @@ import pytest
 from clcd.citest import CiConfig
 from clcd.discovery import phase1_structures
 from clcd.equivalence import EquivalencePair
-from clcd.mb import LocalStructure
+from clcd.mb import G2Tester, LocalStructure
 from clcd.selection import (
     CommonChoice,
     FeatureSelectionResult,
@@ -31,9 +31,10 @@ def _label_chain_net():
 def test_delabel_replaces_label_with_its_parents():
     ds = sample(_label_chain_net(), 8000, seed=0)
     cfg = CiConfig()
-    st = phase1_structures(ds, [2, 3], cfg)
+    tester = G2Tester(ds, cfg)
+    st = phase1_structures(tester, ds, [2, 3], cfg)
     assert 2 in st[3].pc  # L0 shows up inside PC(L1)
-    delabel_pc(ds, 3, st, [2, 3], cfg)
+    delabel_pc(tester, 3, st, [2, 3], cfg)
     assert 2 not in st[3].pc
     assert 0 in st[3].pc  # F0 stands in for L0
     assert 1 in st[3].pc  # F1 was already there and stays
@@ -50,11 +51,12 @@ def test_delabel_bans_label_cycles():
         names=("L0", "L1"))
     ds = sample(net, 3000, seed=1)
     cfg = CiConfig()
-    st = phase1_structures(ds, [0, 1], cfg)
+    tester = G2Tester(ds, cfg)
+    st = phase1_structures(tester, ds, [0, 1], cfg)
     assert st[0].pc == {1}
     assert st[1].pc == {0}
-    delabel_pc(ds, 0, st, [0, 1], cfg)
-    delabel_pc(ds, 1, st, [0, 1], cfg)
+    delabel_pc(tester, 0, st, [0, 1], cfg)
+    delabel_pc(tester, 1, st, [0, 1], cfg)
     assert st[0].pc == set()
     assert st[1].pc == set()
 
@@ -65,7 +67,7 @@ def test_select_common_greedy_and_consumption():
         11: LocalStructure(target=11, pc={1, 3}, spouses={}, sepsets={}),
     }
     ei = {}
-    res = select_common(None, [10, 11], structures, ei)
+    res = select_common([10, 11], structures, ei)
     assert len(res.common) == 1
     choice = res.common[0]
     assert choice.features == frozenset({1})
@@ -84,7 +86,7 @@ def test_select_common_theta2_routes_to_counterpart():
     }
     ei = {10: [EquivalencePair(target=10, s=frozenset({2}),
                                z=frozenset({7}))]}
-    res = select_common(None, [10, 11], structures, ei)
+    res = select_common([10, 11], structures, ei)
     assert [c.features for c in res.common] == [frozenset({7})]
     assert res.common[0].replaced[10] == frozenset({2})
     assert res.common[0].replaced[11] == frozenset({7})
@@ -98,7 +100,7 @@ def test_select_common_does_not_mutate_input():
         11: LocalStructure(target=11, pc={1}, spouses={}, sepsets={}),
     }
     before = {t: structures[t].clone() for t in structures}
-    res = select_common(None, [10, 11], structures, {})
+    res = select_common([10, 11], structures, {})
     for t in structures:
         assert structures[t].pc == before[t].pc
         assert structures[t].spouses == before[t].spouses
@@ -111,7 +113,7 @@ def test_select_common_label_leak_dropped():
         10: LocalStructure(target=10, pc={1, 11}, spouses={}, sepsets={}),
         11: LocalStructure(target=11, pc={1}, spouses={}, sepsets={}),
     }
-    res = select_common(None, [10, 11], structures, {})
+    res = select_common([10, 11], structures, {})
     assert 11 not in res.specific[10]
     assert 11 not in res.selected
 

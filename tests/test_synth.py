@@ -231,16 +231,6 @@ def test_generate_p_c_creates_label_edges():
     assert linked >= 1
 
 
-def test_truth_class_of():
-    cfg = GenConfig(n_labels=2, n_features=20, p_m=1.0, seed=5)
-    net, truth = generate(cfg)
-    assert truth.equivalence_classes
-    cls = truth.equivalence_classes[0]
-    member = next(iter(cls))
-    assert truth.class_of(member) == cls
-    assert truth.class_of(10 ** 6) == frozenset({10 ** 6})
-
-
 def test_dsep_tester_caches(chain_net):
     tester = DsepTester(chain_net, CiConfig())
     r1 = tester.ci(0, 2, (1,))
