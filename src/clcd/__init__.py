@@ -31,6 +31,7 @@ from .discovery import (
     phase1_structures,
     phase2_retrieve,
     phase3_equivalences,
+    side_index,
     theta_candidates,
 )
 from .equivalence import (
@@ -135,6 +136,7 @@ __all__ = [
     "score_variables",
     "select_common",
     "set_ci",
+    "side_index",
     "split_dataset",
     "theta_candidates",
     "__version__",

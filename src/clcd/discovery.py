@@ -4,8 +4,8 @@ Phase 1 learns a local structure per label with labels treated as ordinary
 variables. Phase 2 retrieves variables shadowed by label-label causality:
 when two labels carry equivalent information about a variable, conditioning
 on one label hides that variable from the other's boundary. Phase 3 scans for
-equivalence records, and the Θ predicate then classifies candidate sets as
-common to a label subset or specific to a single label.
+equivalence records, which are indexed once by side; Θ then classifies each
+candidate set as common to a label subset or specific to a single label.
 """
 
 from __future__ import annotations
@@ -141,28 +141,39 @@ def phase3_equivalences(tester: CiTester, ds: Dataset, labels,
     return out
 
 
+def side_index(ei: dict) -> dict:
+    """``variable -> side -> [other sides, in record order]`` over ``ei``.
+
+    A record's sides are disjoint, so a set matches at most one of them.
+    """
+    index: dict = {}
+    for x, pairs in ei.items():
+        by_side = index.setdefault(x, {})
+        for pair in pairs:
+            by_side.setdefault(pair.s, []).append(pair.z)
+            by_side.setdefault(pair.z, []).append(pair.s)
+    return index
+
+
 def evaluate_theta(z: frozenset, label: VariableId, structures: dict,
-                   ei: dict) -> ThetaMatch | None:
+                   index: dict) -> ThetaMatch | None:
     """First θ branch certifying z as causal for the label, if any.
 
     θ1: z sits inside the label's boundary. θ2: z is recorded equivalent to a
     current PC subset of the label. θ3: z is recorded equivalent (about a
     common child) to a current spouse subset. Branches are tried in order.
+    ``index`` is :func:`side_index` of the equivalence records.
     """
     st = structures[label]
     if z <= st.mb:
         return ThetaMatch(branch="theta1", z_t=z)
-    for pair in ei.get(label, ()):
-        for side, other in (pair.sides(), pair.sides()[::-1]):
-            if z == side and other <= st.pc:
-                return ThetaMatch(branch="theta2", z_t=other)
+    for other in index.get(label, {}).get(z, ()):
+        if other <= st.pc:
+            return ThetaMatch(branch="theta2", z_t=other)
     for child in sorted(st.spouse_children):
-        for pair in ei.get(child, ()):
-            for side, other in (pair.sides(), pair.sides()[::-1]):
-                if z != side or not other:
-                    continue
-                if all(child in st.spouses.get(sp, ()) for sp in other):
-                    return ThetaMatch(branch="theta3", z_t=other, child=child)
+        for other in index.get(child, {}).get(z, ()):
+            if all(child in st.spouses.get(sp, ()) for sp in other):
+                return ThetaMatch(branch="theta3", z_t=other, child=child)
     return None
 
 
@@ -183,16 +194,14 @@ def theta_candidates(structures: dict, ei: dict, labels) -> list:
 
 
 def clcd(ds: Dataset, cfg: CiConfig = CiConfig(), max_z: int = 1,
-         workers: int = 1, tester: CiTester | None = None,
-         phase2: bool = True) -> ClcdOutput:
+         workers: int = 1, tester: CiTester | None = None) -> ClcdOutput:
     """Full pipeline: structures, retrieval, equivalences, Θ classification.
 
     ``ccv`` is keyed by each candidate's maximal satisfied label set; any
     subset query is answered by :meth:`ClcdOutput.common_for`. ``tcv`` holds
     the per-label boundary members not claimed by any covering common set.
-    ``phase2=False`` skips the retrieval phase (ablation switch). ``workers``
-    is accepted so that old callers and manifests still run, and is ignored:
-    every phase runs serially on the one tester.
+    ``workers`` is accepted so that old callers and manifests still run, and
+    is ignored: every phase runs serially on the one tester.
     """
     labels = sorted(ds.labels)
     if len(labels) < 2:
@@ -201,19 +210,16 @@ def clcd(ds: Dataset, cfg: CiConfig = CiConfig(), max_z: int = 1,
         tester = G2Tester(ds, cfg)
 
     structures = phase1_structures(tester, ds, labels, cfg)
-    if phase2:
-        phase2_retrieve(tester, ds, labels, structures, cfg, max_z)
+    phase2_retrieve(tester, ds, labels, structures, cfg, max_z)
     ei = phase3_equivalences(tester, ds, labels, structures, cfg, max_z)
 
     label_set = set(labels)
     ccv: dict = {}
     witnesses = []
+    index = side_index(ei)
     for z in theta_candidates(structures, ei, labels):
-        branches = {}
-        for t in labels:
-            match = evaluate_theta(z, t, structures, ei)
-            if match is not None:
-                branches[t] = match
+        branches = {t: m for t in labels
+                    if (m := evaluate_theta(z, t, structures, index))}
         if not branches:
             continue
         witnesses.append(ThetaWitness(z=z, branches=branches))

@@ -33,9 +33,6 @@ class EquivalencePair:
         if self.target in self.s | self.z:
             raise ValueError("target cannot appear on either side")
 
-    def sides(self) -> tuple[frozenset, frozenset]:
-        return self.s, self.z
-
 
 def contains_equivalent_info(tester: CiTester, target: VariableId,
                              s, z) -> bool:

@@ -18,6 +18,7 @@ from .discovery import (
     phase1_structures,
     phase2_retrieve,
     phase3_equivalences,
+    side_index,
     theta_candidates,
 )
 from .mb import CiTester, G2Tester
@@ -119,15 +120,13 @@ def select_common(labels, structures: dict,
     snapshot = {t: structures[t].clone() for t in labels}
     work = {t: structures[t].clone() for t in labels}
     candidates = theta_candidates(structures, ei, labels)
+    index = side_index(ei)
     common: list = []
     while True:
         best = None
         for z in candidates:
-            branches = {}
-            for t in labels:
-                m = evaluate_theta(z, t, work, ei)
-                if m is not None:
-                    branches[t] = m
+            branches = {t: m for t in labels
+                        if (m := evaluate_theta(z, t, work, index))}
             if len(branches) < 2:
                 continue
             key = (-len(branches), len(z), sorted(z))
@@ -142,14 +141,10 @@ def select_common(labels, structures: dict,
             replaced={t: m.z_t for t, m in branches.items()}))
         for t, m in sorted(branches.items()):
             st = work[t]
-            if m.branch == "theta3":
-                for sp in m.z_t:
-                    st.spouses.pop(sp, None)
-            else:
+            if m.branch != "theta3":
                 st.pc -= m.z_t
-                for sp in m.z_t & set(st.spouses):
-                    st.spouses.pop(sp)
             for v in m.z_t:
+                st.spouses.pop(v, None)
                 st.sepsets.pop(v, None)
         log.info("selected common set %s for labels %s", sorted(z),
                  sorted(branches))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as hst
 
 from clcd.data import Dataset
+from clcd.equivalence import EquivalencePair
+from clcd.mb import LocalStructure
 from clcd.synth import BayesNet
 
 
@@ -86,3 +89,44 @@ def xor_labels_net(n_noise: int = 2, noise_seed: int = 5):
     return BayesNet(parents=tuple(parents), cpts=tuple(cpts),
                     arities=tuple([2] * (k + 2)), is_label=tuple(is_label),
                     names=tuple(names))
+
+
+THETA_FEATURES = tuple(range(7))
+
+
+@hst.composite
+def theta_cases(draw):
+    """Random structures and equivalence records over a few variables.
+
+    Labels are 10, 11 and 12. Spouse children are features (outside the
+    label set) or other labels, and every child and label gets a record
+    list with both orientations, repeats and any order.
+    """
+    labels = [10, 11, 12][:draw(hst.integers(2, 3))]
+    structures = {}
+    for t in labels:
+        others = [v for v in labels if v != t]
+        pc = draw(hst.sets(hst.sampled_from(THETA_FEATURES + tuple(others)),
+                           max_size=4))
+        spouses = draw(hst.dictionaries(
+            hst.sampled_from(THETA_FEATURES),
+            hst.sets(hst.sampled_from(THETA_FEATURES + tuple(others)),
+                     min_size=1, max_size=2),
+            max_size=3))
+        structures[t] = LocalStructure(target=t, pc=pc, spouses=spouses,
+                                       sepsets={})
+    keys = set(labels).union(*(structures[t].spouse_children for t in labels))
+    ei = {}
+    for x in sorted(keys):
+        pool = [v for v in THETA_FEATURES if v != x]
+        pairs = []
+        for order, a, b in draw(hst.lists(hst.tuples(hst.permutations(pool),
+                                                     hst.integers(1, 2),
+                                                     hst.integers(1, 2)),
+                                          max_size=6)):
+            pairs.append(EquivalencePair(target=x, s=frozenset(order[:a]),
+                                         z=frozenset(order[a:a + b])))
+        if pairs:
+            pairs += draw(hst.lists(hst.sampled_from(pairs), max_size=3))
+        ei[x] = draw(hst.permutations(pairs))
+    return labels, structures, ei

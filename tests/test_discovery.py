@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from clcd.citest import CiConfig
 from clcd.discovery import (
@@ -10,12 +12,13 @@ from clcd.discovery import (
     phase1_structures,
     phase2_retrieve,
     phase3_equivalences,
+    side_index,
     theta_candidates,
 )
 from clcd.equivalence import EquivalencePair
 from clcd.mb import G2Tester, LocalStructure
 from clcd.synth import BayesNet, DsepTester, GenConfig, generate, sample
-from conftest import bsc, xor_labels_net
+from conftest import THETA_FEATURES, bsc, theta_cases, xor_labels_net
 
 
 def _two_label_net():
@@ -58,12 +61,16 @@ def test_phase2_restores_xored_parent():
 def test_clcd_phase2_ablation():
     net = xor_labels_net()
     ds = sample(net, 6000, seed=2)
-    with_p2 = clcd(ds, phase2=True)
-    without = clcd(ds, phase2=False)
-    t1, t2 = net.labels
-    assert 0 in with_p2.structures[t1].pc
-    assert 0 not in without.structures[t1].pc
-    assert 0 not in without.structures[t2].pc
+    labels = list(net.labels)
+    cfg = CiConfig()
+    tester = G2Tester(ds, cfg)
+    without = phase1_structures(tester, ds, labels, cfg)
+    with_p2 = phase2_retrieve(tester, ds, labels,
+                              {t: without[t].clone() for t in labels}, cfg)
+    t1, t2 = labels
+    assert 0 in with_p2[t1].pc
+    assert 0 not in without[t1].pc
+    assert 0 not in without[t2].pc
 
 
 def test_phase3_finds_planted_pair():
@@ -101,20 +108,54 @@ def _hand_structures():
 
 def test_evaluate_theta_branches():
     st, ei = _hand_structures()
+    index = side_index(ei)
     # inside the boundary
-    m = evaluate_theta(frozenset({1}), 10, st, ei)
+    m = evaluate_theta(frozenset({1}), 10, st, index)
     assert m == ThetaMatch(branch="theta1", z_t=frozenset({1}))
-    assert evaluate_theta(frozenset({5}), 10, st, ei).branch == "theta1"
+    assert evaluate_theta(frozenset({5}), 10, st, index).branch == "theta1"
     # equivalent to a PC subset
-    m2 = evaluate_theta(frozenset({7}), 10, st, ei)
+    m2 = evaluate_theta(frozenset({7}), 10, st, index)
     assert m2.branch == "theta2"
     assert m2.z_t == frozenset({2})
     # equivalent to a spouse subset about the common child
-    m3 = evaluate_theta(frozenset({8}), 10, st, ei)
+    m3 = evaluate_theta(frozenset({8}), 10, st, index)
     assert m3 == ThetaMatch(branch="theta3", z_t=frozenset({5}), child=2)
     # no branch
-    assert evaluate_theta(frozenset({9}), 10, st, ei) is None
-    assert evaluate_theta(frozenset({8}), 11, st, ei) is None
+    assert evaluate_theta(frozenset({9}), 10, st, index) is None
+    assert evaluate_theta(frozenset({8}), 11, st, index) is None
+
+
+def _scan_theta(z, label, structures, ei):
+    """The θ classification as a linear scan of every record, both ways."""
+    st = structures[label]
+    if z <= st.mb:
+        return ThetaMatch(branch="theta1", z_t=z)
+    for pair in ei.get(label, ()):
+        for side, other in ((pair.s, pair.z), (pair.z, pair.s)):
+            if z == side and other <= st.pc:
+                return ThetaMatch(branch="theta2", z_t=other)
+    for child in sorted(st.spouse_children):
+        for pair in ei.get(child, ()):
+            for side, other in ((pair.s, pair.z), (pair.z, pair.s)):
+                if z != side or not other:
+                    continue
+                if all(child in st.spouses.get(sp, ()) for sp in other):
+                    return ThetaMatch(branch="theta3", z_t=other, child=child)
+    return None
+
+
+@given(theta_cases(),
+       hst.lists(hst.frozensets(hst.sampled_from(THETA_FEATURES), min_size=1,
+                                max_size=3), max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_indexed_theta_matches_linear_scan(case, extra):
+    labels, structures, ei = case
+    index = side_index(ei)
+    queries = set(theta_candidates(structures, ei, labels)) | set(extra)
+    for z in sorted(queries, key=sorted):
+        for t in labels:
+            assert (evaluate_theta(z, t, structures, index)
+                    == _scan_theta(z, t, structures, ei))
 
 
 def test_theta_candidates_ordering_and_label_filter():

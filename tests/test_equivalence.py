@@ -18,7 +18,7 @@ from conftest import bsc, build_dataset
 
 def test_pair_validation():
     p = EquivalencePair(target=0, s=frozenset({1}), z=frozenset({2}))
-    assert p.sides() == (frozenset({1}), frozenset({2}))
+    assert (p.s, p.z) == (frozenset({1}), frozenset({2}))
     with pytest.raises(ValueError, match="nonempty"):
         EquivalencePair(target=0, s=frozenset(), z=frozenset({2}))
     with pytest.raises(ValueError, match="disjoint"):

@@ -1,5 +1,8 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from clcd.citest import CiConfig
 from clcd.discovery import phase1_structures
@@ -13,7 +16,7 @@ from clcd.selection import (
     select_common,
 )
 from clcd.synth import BayesNet, GenConfig, generate, sample
-from conftest import bsc
+from conftest import bsc, theta_cases
 
 
 def _label_chain_net():
@@ -106,6 +109,21 @@ def test_select_common_does_not_mutate_input():
         assert structures[t].spouses == before[t].spouses
     # and the returned snapshot matches the pre-consumption state
     assert res.structures[10].pc == {1, 2}
+
+
+@given(theta_cases())
+@settings(max_examples=100, deadline=None)
+def test_select_common_leaves_inputs_alone_and_repeats(case):
+    labels, structures, ei = case
+    structures_before = copy.deepcopy(structures)
+    ei_before = copy.deepcopy(ei)
+    first = select_common(labels, structures, ei)
+    assert structures == structures_before
+    assert ei == ei_before
+    second = select_common(labels, structures, ei)
+    assert first.common == second.common
+    assert first.specific == second.specific
+    assert first.feature_label_map == second.feature_label_map
 
 
 def test_select_common_label_leak_dropped():
