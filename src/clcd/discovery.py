@@ -45,15 +45,6 @@ class ClcdOutput:
     tcv: dict                    # label -> set of variables
     witnesses: list = field(default_factory=list)
 
-    def common_for(self, labels) -> set:
-        """Common variables for a label subset (superset-key lookup)."""
-        want = frozenset(labels)
-        out: set = set()
-        for key, members in self.ccv.items():
-            if want <= key:
-                out |= members
-        return out
-
 
 def _all_candidates(ds: Dataset, target: VariableId) -> set:
     return set(range(ds.n_vars)) - {target}
@@ -197,11 +188,10 @@ def clcd(ds: Dataset, cfg: CiConfig = CiConfig(), max_z: int = 1,
          workers: int = 1, tester: CiTester | None = None) -> ClcdOutput:
     """Full pipeline: structures, retrieval, equivalences, Θ classification.
 
-    ``ccv`` is keyed by each candidate's maximal satisfied label set; any
-    subset query is answered by :meth:`ClcdOutput.common_for`. ``tcv`` holds
-    the per-label boundary members not claimed by any covering common set.
-    ``workers`` is accepted so that old callers and manifests still run, and
-    is ignored: every phase runs serially on the one tester.
+    ``ccv`` is keyed by each candidate's maximal satisfied label set. ``tcv``
+    holds the per-label boundary members not claimed by any covering common
+    set. ``workers`` is accepted so that old callers and manifests still run,
+    and is ignored: every phase runs serially on the one tester.
     """
     labels = sorted(ds.labels)
     if len(labels) < 2:

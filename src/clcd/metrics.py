@@ -29,27 +29,16 @@ class VariableScores:
         return VariableScores(tp, fp, fn, prec, rec)
 
 
-def _flatten_common(found_common) -> set:
-    groups = (found_common.values() if isinstance(found_common, dict)
-              else [found_common])
-    pool: set = set()
-    for members in groups:
-        for m in members:
-            pool |= set(m) if isinstance(m, (set, frozenset)) else {m}
-    return pool
-
-
-def score_variables(found_common, found_specific: dict, truth) -> dict:
+def score_variables(found_common: dict, found_specific: dict, truth) -> dict:
     """Member-level precision/recall for common and specific recovery.
 
-    ``found_common`` may be a flat collection of variables, a collection of
-    variable sets, or a dict keyed by label sets (all are pooled; the key
-    structure is not scored). ``found_specific`` maps label id to variables
-    and is scored per label, then pooled. Ground-truth pools include every
-    equivalence-class member, so recall rewards algorithms that surface whole
-    classes rather than a single representative.
+    ``found_common`` is a dict keyed by label sets; its variable sets are
+    pooled, so the key structure is not scored. ``found_specific`` maps label
+    id to variables and is scored per label, then pooled. Ground-truth pools
+    include every equivalence-class member, so recall rewards algorithms that
+    surface whole classes rather than a single representative.
     """
-    found_pool = _flatten_common(found_common)
+    found_pool = set().union(*found_common.values())
     truth_pool = truth.common_pool()
     tp_c = len(found_pool & truth_pool)
     common = VariableScores.from_counts(

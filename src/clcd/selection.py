@@ -145,7 +145,6 @@ def select_common(labels, structures: dict,
                 st.pc -= m.z_t
             for v in m.z_t:
                 st.spouses.pop(v, None)
-                st.sepsets.pop(v, None)
         log.info("selected common set %s for labels %s", sorted(z),
                  sorted(branches))
 

@@ -2,9 +2,10 @@
 
 The generator plants, per label, a boundary of parents/children/spouses with
 controlled label-label causality (``p_c``) and controlled multiplicity of
-boundaries (``p_m``, realized by bijective-copy injection). Ground truth
-records every boundary variant, so scoring can credit any equivalent
-representative an algorithm picks.
+boundaries (``p_m``, realized by :func:`inject_equivalence` appending
+bijective copies). ``generate`` and ``random_net`` draw their CPTs through
+one builder. Ground truth records every boundary variant, so scoring can
+credit any equivalent representative an algorithm picks.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class BayesNet:
                 raise ValueError("node ids must be topologically ordered")
             if tuple(sorted(ps)) != tuple(ps):
                 raise ValueError("parent lists must be sorted")
-            rows = int(np.prod([self.arities[p] for p in ps])) if ps else 1
+            rows = math.prod(self.arities[p] for p in ps)
             cpt = self.cpts[i]
             if cpt.shape != (rows, self.arities[i]):
                 raise ValueError(f"cpt shape mismatch at node {i}")
@@ -205,14 +206,39 @@ def _guarded_cpt(rng, parent_arities, parent_marginals, arity: int) -> np.ndarra
     return best
 
 
-def _permutation_cpt(rng, arity: int) -> tuple[np.ndarray, np.ndarray]:
+def _permutation_cpt(rng, arity: int) -> np.ndarray:
     """One-hot CPT encoding a non-identity permutation of the parent's codes."""
     perm = rng.permutation(arity)
     while (perm == np.arange(arity)).all():
         perm = rng.permutation(arity)
     cpt = np.zeros((arity, arity))
     cpt[np.arange(arity), perm] = 1.0
-    return cpt, perm
+    return cpt
+
+
+def _guarded_net(rng, parents, arity: int, is_label, names) -> BayesNet:
+    """Network over ``parents`` with every CPT drawn in node-id order.
+
+    A root gets a bounded root row; any other node gets a guarded CPT whose
+    effect floor is judged against its parents' approximate marginals.
+    """
+    cpts: list = []
+    marginal: list = []
+    for ps in parents:
+        if not ps:
+            row = _root_row(rng, arity)
+            cpts.append(row[None, :])
+            marginal.append(row)
+        else:
+            par_marg = [marginal[p] for p in ps]
+            cpt = _guarded_cpt(rng, [arity] * len(ps), par_marg, arity)
+            cpts.append(cpt)
+            marginal.append(_weights(par_marg) @ cpt)
+    return BayesNet(parents=tuple(tuple(ps) for ps in parents),
+                    cpts=tuple(cpts),
+                    arities=tuple([arity] * len(parents)),
+                    is_label=tuple(is_label),
+                    names=tuple(names))
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +262,11 @@ def _split_mb(size: int) -> tuple[int, int, int]:
 def generate(cfg: GenConfig):
     """Draw a network and its ground truth; deterministic given cfg.seed.
 
-    Handles are planned abstractly first, then ids are assigned in topological
-    blocks: root features, background features, labels, children, copies.
-    Raises ValueError when n_features cannot host the planned members.
+    Boundary members are planned as root handles, which double as the first
+    node ids. The copy-free network takes the rest in topological blocks
+    (background features, labels, children), and :func:`inject_equivalence`
+    then appends the planned copies as the last block. Raises ValueError when
+    n_features cannot host the planned members.
     """
     rng = np.random.default_rng(cfg.seed)
     k = cfg.n_labels
@@ -288,16 +316,13 @@ def generate(cfg: GenConfig):
     n_child_nodes = len(child_handles)
 
     # -- equivalence injection (p_m) ----------------------------------------
-    # members are (kind, key): ("root", handle) or ("child", (t, j))
     member_of_label = {
-        t: [("root", h) for h in label_parents[t]]
-           + [("root", s) for s, _ in label_spouses[t]]
-           + [("child", (t, j)) for j in range(n_children[t])]
+        t: label_parents[t] + [s for s, _ in label_spouses[t]]
         for t in range(k)}
     degree = {}
     for t in range(k):
-        for m in member_of_label[t]:
-            degree[m] = degree.get(m, 0) + 1
+        for h in member_of_label[t]:
+            degree[h] = degree.get(h, 0) + 1
 
     # each chosen label multiplies its most widely shared parent or spouse
     # that has no copies yet; shared members are preferred so multiplicity
@@ -305,38 +330,29 @@ def generate(cfg: GenConfig):
     # bijective copy of a child would swallow that child's own neighborhood
     # (conditioning on the copy fixes the child exactly), hiding its other
     # parents from any conditional-independence method
-    injected: dict = {}         # member -> copy count
+    injected: dict = {}         # root handle -> copy count
     for t in sorted(rng.choice(k, size=round(cfg.p_m * k),
                                replace=False).tolist()):
-        fresh = [m for m in member_of_label[t]
-                 if m[0] == "root" and m not in injected]
+        fresh = [h for h in member_of_label[t] if h not in injected]
         if not fresh:
             continue            # every eligible member already has a class
-        target = min(fresh, key=lambda m: (-degree[m], m))
+        target = min(fresh, key=lambda h: (-degree[h], h))
         lo, hi = cfg.eq_copies_range
         injected[target] = int(rng.integers(lo, hi + 1))
-
-    copy_members = [(m, j) for m, g in injected.items() for j in range(g)]
+    n_copies = sum(injected.values())
 
     # -- background budget ---------------------------------------------------
-    n_bg = cfg.n_features - n_roots - n_child_nodes - len(copy_members)
+    n_bg = cfg.n_features - n_roots - n_child_nodes - n_copies
     if n_bg < 0:
         raise ValueError(
             f"infeasible config: {cfg.n_features} features cannot host "
             f"{n_roots} roots, {n_child_nodes} children and "
-            f"{len(copy_members)} copies")
+            f"{n_copies} copies")
 
-    root_id = {h: h for h in roots}
     bg_ids = list(range(n_roots, n_roots + n_bg))
     label_id = {t: n_roots + n_bg + t for t in range(k)}
     child_id = {h: n_roots + n_bg + k + j for j, h in enumerate(child_handles)}
-    copy_id = {cm: n_roots + n_bg + k + n_child_nodes + j
-               for j, cm in enumerate(copy_members)}
-    n_nodes = n_roots + n_bg + k + n_child_nodes + len(copy_members)
-
-    def member_id(m) -> int:
-        kind, key = m
-        return root_id[key] if kind == "root" else child_id[key]
+    n_nodes = n_roots + n_bg + k + n_child_nodes
 
     # -- wire parents --------------------------------------------------------
     parents: list = [[] for _ in range(n_nodes)]
@@ -348,15 +364,13 @@ def generate(cfg: GenConfig):
             picks = rng.choice(i, size=min(n_up, i), replace=False)
             parents[i] = sorted(int(j) for j in picks)
     for t in range(k):
-        ps = {root_id[h] for h in label_parents[t]}
+        ps = set(label_parents[t])
         ps |= {label_id[a] for a, b in label_label if b == t}
         parents[label_id[t]] = sorted(ps)
     for (t, j), cid in child_id.items():
         ps = {label_id[t]}
-        ps |= {root_id[s] for s, cj in label_spouses[t] if cj == j}
+        ps |= {s for s, cj in label_spouses[t] if cj == j}
         parents[cid] = sorted(ps)
-    for (m, j), cid in copy_id.items():
-        parents[cid] = [member_id(m)]
 
     # -- names and roles ------------------------------------------------------
     names = [""] * n_nodes
@@ -364,54 +378,23 @@ def generate(cfg: GenConfig):
     for t in range(k):
         names[label_id[t]] = f"L{t}"
         is_label[label_id[t]] = True
-    copy_ids = set(copy_id.values())
     feature_counter = 0
     for i in range(n_nodes):
-        if not names[i] and i not in copy_ids:
+        if not names[i]:
             names[i] = f"F{feature_counter}"
             feature_counter += 1
-    for (m, j), cid in sorted(copy_id.items(), key=lambda kv: kv[1]):
-        names[cid] = f"{names[member_id(m)]}_c{j + 1}"
 
-    # -- CPTs with detectability guards --------------------------------------
-    arity = cfg.arity
-    cpts: list = [None] * n_nodes
-    marginal: list = [None] * n_nodes
-    for i in range(n_nodes):
-        ps = parents[i]
-        if not ps:
-            row = _root_row(rng, arity)
-            cpts[i] = row[None, :]
-            marginal[i] = row
-        elif i in copy_ids:
-            cpt, _ = _permutation_cpt(rng, arity)
-            cpts[i] = cpt
-            marginal[i] = marginal[ps[0]] @ cpt
-        else:
-            par_marg = [marginal[p] for p in ps]
-            cpts[i] = _guarded_cpt(rng, [arity] * len(ps), par_marg, arity)
-            marginal[i] = _weights(par_marg) @ cpts[i]
-
-    net = BayesNet(parents=tuple(tuple(p) for p in parents),
-                   cpts=tuple(cpts),
-                   arities=tuple([arity] * n_nodes),
-                   is_label=tuple(is_label),
-                   names=tuple(names))
+    # -- CPTs with detectability guards, then the planned copies -------------
+    net = _guarded_net(rng, parents, cfg.arity, is_label, names)
+    net, classes = inject_equivalence(net, injected, rng)
 
     # -- ground truth ----------------------------------------------------------
-    classes = []
-    copies_of: dict = {}
-    for m, g in injected.items():
-        orig = member_id(m)
-        mem_copies = [copy_id[(m, j)] for j in range(g)]
-        copies_of[orig] = mem_copies
-        classes.append(frozenset([orig] + mem_copies))
-
+    class_of = dict(zip(injected, classes))
     label_ids = [label_id[t] for t in range(k)]
     mb_variants: dict = {}
     for t in range(k):
         base = sorted(graphical_mb(net, label_id[t]))
-        options = [[v] + copies_of.get(v, []) for v in base]
+        options = [sorted(class_of.get(v, {v})) for v in base]
         variants = [frozenset(combo) for combo in itertools.product(*options)]
         mb_variants[label_id[t]] = sorted(variants, key=sorted)
 
@@ -437,33 +420,37 @@ def generate(cfg: GenConfig):
     return net, truth
 
 
-def inject_equivalence(net: BayesNet, x: int, copies: int, rng):
-    """Append ``copies`` bijective relabelings of node x as new leaf features.
+def inject_equivalence(net: BayesNet, copies: dict, rng):
+    """Append bijective relabelings of nodes as new leaf features.
 
-    Returns (new net, equivalence class). Each copy is a deterministic
-    non-identity permutation of x's codes, so it carries exactly x's
-    information; acyclicity is preserved (copies are leaves with one parent).
+    ``copies`` maps node -> copy count. The copies of each node are appended
+    in dict order and named ``<name>_c1``, ``<name>_c2``, ... Returns (new
+    net, one equivalence class per node, in dict order). Each copy is a
+    deterministic non-identity permutation of its node's codes, so it carries
+    exactly that node's information; acyclicity is preserved (copies are
+    leaves with one parent).
     """
-    if net.arities[x] < 2:
+    if any(net.arities[x] < 2 for x in copies):
         raise ValueError("node must have arity >= 2")
     parents = list(net.parents)
     cpts = list(net.cpts)
     arities = list(net.arities)
     is_label = list(net.is_label)
     names = list(net.names)
-    new_ids = []
-    for j in range(copies):
-        cpt, _ = _permutation_cpt(rng, net.arities[x])
-        new_ids.append(len(parents))
-        parents.append((x,))
-        cpts.append(cpt)
-        arities.append(net.arities[x])
-        is_label.append(False)
-        names.append(f"{net.names[x]}_c{j + 1}")
+    classes = []
+    for x, count in copies.items():
+        first = len(parents)
+        for j in range(count):
+            parents.append((x,))
+            cpts.append(_permutation_cpt(rng, net.arities[x]))
+            arities.append(net.arities[x])
+            is_label.append(False)
+            names.append(f"{net.names[x]}_c{j + 1}")
+        classes.append(frozenset([x, *range(first, len(parents))]))
     new_net = BayesNet(parents=tuple(parents), cpts=tuple(cpts),
                        arities=tuple(arities), is_label=tuple(is_label),
                        names=tuple(names))
-    return new_net, frozenset([x] + new_ids)
+    return new_net, classes
 
 
 def sample(net: BayesNet, n: int, seed) -> Dataset:
@@ -626,20 +613,7 @@ def random_net(n_nodes: int, edge_prob: float, rng, arity: int = 2,
             picks = rng.choice(len(ps), size=max_parents, replace=False)
             ps = [ps[j] for j in sorted(picks)]
         parents.append(tuple(ps))
-    cpts = []
-    marginal = []
-    for i in range(n_nodes):
-        if not parents[i]:
-            row = _root_row(rng, arity)
-            cpts.append(row[None, :])
-            marginal.append(row)
-        else:
-            par_marg = [marginal[p] for p in parents[i]]
-            cpt = _guarded_cpt(rng, [arity] * len(parents[i]), par_marg, arity)
-            cpts.append(cpt)
-            marginal.append(_weights(par_marg) @ cpt)
     label_nodes = set(label_nodes)
-    return BayesNet(parents=tuple(parents), cpts=tuple(cpts),
-                    arities=tuple([arity] * n_nodes),
-                    is_label=tuple(i in label_nodes for i in range(n_nodes)),
-                    names=tuple(f"V{i}" for i in range(n_nodes)))
+    return _guarded_net(rng, parents, arity,
+                        [i in label_nodes for i in range(n_nodes)],
+                        [f"V{i}" for i in range(n_nodes)])

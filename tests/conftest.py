@@ -37,6 +37,13 @@ def bsc(flip):
     return np.array([[1 - flip, flip], [flip, 1 - flip]])
 
 
+def is_relabelling_cpt(cpt) -> bool:
+    """True iff cpt is a square permutation matrix other than the identity."""
+    return (cpt.shape[0] == cpt.shape[1] and np.isin(cpt, (0.0, 1.0)).all()
+            and (cpt.sum(axis=0) == 1).all() and (cpt.sum(axis=1) == 1).all()
+            and not (cpt == np.eye(len(cpt))).all())
+
+
 @pytest.fixture
 def chain_net():
     """X0 -> X1 -> X2 with P(X0=1)=0.3, 10% then 20% flip noise.

@@ -185,8 +185,6 @@ def test_clcd_end_to_end_shared_parent():
     assert out.ccv.get(frozenset({1, 2})) == {0}
     assert out.tcv[1] == {3}
     assert out.tcv[2] == set()
-    assert out.common_for([1, 2]) == {0}
-    assert out.common_for([1]) == {0}
 
 
 def test_clcd_ccv_covers_equivalence_class():

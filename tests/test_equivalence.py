@@ -13,7 +13,7 @@ from clcd.equivalence import (
 from clcd.mb import G2Tester, hiton_pc
 from clcd.synth import (BayesNet, GenConfig, generate, inject_equivalence,
                         sample)
-from conftest import bsc, build_dataset
+from conftest import bsc, build_dataset, is_relabelling_cpt
 
 
 def test_pair_validation():
@@ -94,7 +94,7 @@ def test_find_equivalences_injected_net():
         arities=(2, 2),
         is_label=(False, True),
         names=("X", "T"))
-    net, eq_class = inject_equivalence(base, 0, copies=2, rng=rng)
+    net, [eq_class] = inject_equivalence(base, {0: 2}, rng)
     assert net.n_nodes == 4
     assert net.names[2:] == ("X_c1", "X_c2")
     assert eq_class == frozenset({0, 2, 3})
@@ -105,6 +105,29 @@ def test_find_equivalences_injected_net():
     assert frozenset({2}) in zs
     assert frozenset({3}) in zs
     assert all(p.s == frozenset({0}) for p in pairs)
+
+
+def test_inject_equivalence_appends_in_dict_order():
+    # keys deliberately not in id order: copies follow the dict, not the ids
+    base = BayesNet(
+        parents=((), (), (0, 1)),
+        cpts=(np.array([[0.3, 0.3, 0.4]]), np.array([[0.6, 0.4]]),
+              np.full((6, 2), 0.5)),
+        arities=(3, 2, 2),
+        is_label=(False, False, True),
+        names=("Y", "X", "T"))
+    net, classes = inject_equivalence(base, {1: 2, 0: 1},
+                                      np.random.default_rng(0))
+    assert net.names == ("Y", "X", "T", "X_c1", "X_c2", "Y_c1")
+    assert net.parents[3:] == ((1,), (1,), (0,))
+    assert net.arities[3:] == (2, 2, 3)
+    assert not any(net.is_label[3:])
+    assert classes == [frozenset({1, 3, 4}), frozenset({0, 5})]
+    assert all(is_relabelling_cpt(net.cpts[c]) for c in (3, 4, 5))
+    unary = BayesNet(parents=((),), cpts=(np.ones((1, 1)),), arities=(1,),
+                     is_label=(False,), names=("C",))
+    with pytest.raises(ValueError, match="arity"):
+        inject_equivalence(unary, {0: 1}, np.random.default_rng(0))
 
 
 def test_find_equivalences_respects_max_z():
@@ -138,7 +161,7 @@ def test_deterministic_output_order():
         arities=(2, 2),
         is_label=(False, True),
         names=("X", "T"))
-    net, _ = inject_equivalence(base, 0, copies=3, rng=rng)
+    net, _ = inject_equivalence(base, {0: 3}, rng)
     ds = sample(net, 2500, seed=9)
     first = find_equivalences(G2Tester(ds, CiConfig()), 1, pc_x=[0],
                               candidates=[0, 2, 3, 4])

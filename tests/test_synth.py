@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clcd.citest import CiConfig
 from clcd.synth import (
@@ -18,7 +20,7 @@ from clcd.synth import (
     random_net,
     sample,
 )
-from conftest import bsc
+from conftest import bsc, is_relabelling_cpt
 
 
 def test_genconfig_validation():
@@ -229,6 +231,41 @@ def test_generate_p_c_creates_label_edges():
     linked = sum(1 for lid in net.labels
                  if set(net.parents[lid]) & label_set)
     assert linked >= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_labels=st.integers(1, 4), n_features=st.integers(1, 30),
+       p_c=st.sampled_from([0.0, 0.5, 1.0]),
+       p_m=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+       share_prob=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       lo=st.integers(1, 3), extra=st.integers(0, 2),
+       arity=st.integers(2, 4), seed=st.integers(0, 2**16))
+def test_generate_plants_copies_as_last_leaves(n_labels, n_features, p_c,
+                                               p_m, share_prob, lo, extra,
+                                               arity, seed):
+    cfg = GenConfig(n_labels=n_labels, n_features=n_features,
+                    p_c=p_c if n_labels > 1 else 0.0, p_m=p_m,
+                    share_prob=share_prob, eq_copies_range=(lo, lo + extra),
+                    arity=arity, seed=seed)
+    try:
+        net, truth = generate(cfg)
+    except ValueError as exc:
+        assert "infeasible" in str(exc)
+        return
+    classes = truth.equivalence_classes
+    copies = [c for cls in classes for c in sorted(cls)[1:]]
+    assert copies == list(range(net.n_nodes - len(copies), net.n_nodes))
+    labels = set(net.labels)
+    kids = children_map(net)
+    for cls in classes:
+        orig, *dups = sorted(cls)
+        assert orig not in labels
+        assert not set(net.parents[orig]) & labels
+        assert lo <= len(dups) <= lo + extra
+        for c in dups:
+            assert net.parents[c] == (orig,)
+            assert kids[c] == []
+            assert is_relabelling_cpt(net.cpts[c])
 
 
 def test_dsep_tester_caches(chain_net):
