@@ -160,8 +160,7 @@ def cmd_gen(args, argv) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(names)
-    for r in range(ds.n_rows):
-        writer.writerow(int(v) for v in ds.codes[:, r])
+    writer.writerows(ds.codes.T.tolist())
 
     network_doc = {
         "parents": [list(p) for p in net.parents],

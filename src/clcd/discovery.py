@@ -6,18 +6,18 @@ when two labels carry equivalent information about a variable, conditioning
 on one label hides that variable from the other's boundary. Phase 3 scans for
 equivalence records, which are indexed once by side; Θ then classifies each
 candidate set as common to a label subset or specific to a single label.
+Phases 2 and 3 share one check, :func:`~clcd.equivalence.equivalent_info`.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field
 
 from .citest import CiConfig
 from .data import Dataset, VariableId
-from .equivalence import find_equivalences
-from .mb import CiTester, G2Tester, hiton_mb, hiton_pc
+from .equivalence import equivalent_info, find_equivalences
+from .mb import CiTester, G2Tester, hiton_mb, hiton_pc, subsets
 
 log = logging.getLogger("clcd")
 
@@ -62,10 +62,10 @@ def phase2_retrieve(tester: CiTester, ds: Dataset, labels, structures: dict,
     """Restore variables hidden behind a label inside another label's PC.
 
     For each ordered label pair (t_i, t_j) with t_i in PC(t_j), a candidate
-    set Z (drawn from features outside PC(t_j)) is added to PC(t_j) when Z is
-    dependent on both labels, each label screens Z off from the other, and no
-    small subset of PC(t_j)∖{t_i} renders Z independent of t_j. Sequential
-    over pairs by design: admissions feed later checks.
+    set Z (drawn from features outside PC(t_j)) is added to PC(t_j) when the
+    two labels carry equivalent information about Z (``equivalent_info`` with
+    sides t_i and t_j) and no small subset of PC(t_j)∖{t_i} renders Z
+    independent of t_j. Sequential over pairs: admissions feed later checks.
     """
     label_set = set(labels)
     for t_j in sorted(labels):
@@ -75,38 +75,28 @@ def phase2_retrieve(tester: CiTester, ds: Dataset, labels, structures: dict,
                     if v not in st.pc and v != t_j
                     and not tester.independent(v, t_i, ())
                     and not tester.independent(v, t_j, ())]
-            for size in range(1, min(max_z, len(pool)) + 1):
-                for z in itertools.combinations(pool, size):
-                    if set(z) & st.pc:
-                        continue
-                    if not _phase2_admits(tester, z, t_i, t_j, st, cfg):
-                        continue
-                    log.info("phase2: %s joins PC(%d) via label %d",
-                             z, t_j, t_i)
-                    st.pc.update(z)
-                    for v in z:
-                        st.spouses.pop(v, None)
-                        st.sepsets.pop(v, None)
+            for z in subsets(pool, max_z):
+                if set(z) & st.pc:
+                    continue
+                if not _phase2_admits(tester, z, t_i, t_j, st, cfg):
+                    continue
+                log.info("phase2: %s joins PC(%d) via label %d",
+                         z, t_j, t_i)
+                st.pc.update(z)
+                for v in z:
+                    st.spouses.pop(v, None)
+                    st.sepsets.pop(v, None)
     return structures
 
 
 def _phase2_admits(tester, z, t_i, t_j, st, cfg) -> bool:
-    if len(z) > 1:
-        # singletons already passed the per-variable marginal prefilter
-        if tester.set_independent(z, (t_i,), ()):
-            return False
-        if tester.set_independent(z, (t_j,), ()):
-            return False
-    if not tester.set_independent(z, (t_i,), (t_j,)):
-        return False
-    if not tester.set_independent(z, (t_j,), (t_i,)):
+    # a singleton's two marginal tests repeat the pool prefilter: cache hits
+    if not equivalent_info(tester, z, (t_i,), (t_j,)):
         return False
     # no retained-PC subset may already shield Z from t_j
-    others = sorted(st.pc - {t_i})
-    for s_size in range(1, min(cfg.max_cond_size, len(others)) + 1):
-        for s in itertools.combinations(others, s_size):
-            if tester.set_independent(z, (t_j,), s):
-                return False
+    for s in subsets(sorted(st.pc - {t_i}), cfg.max_cond_size):
+        if tester.set_independent(z, (t_j,), s):
+            return False
     return True
 
 

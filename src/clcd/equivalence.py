@@ -1,16 +1,16 @@
 """Detection of variable sets carrying equivalent information about a target.
 
-Two disjoint sets S and Z are information-equivalent for X when each is
-marginally dependent on X yet screens the other off: X ⊥ S | Z and X ⊥ Z | S.
+Two disjoint sets S and Z are information-equivalent for a set X when each
+is dependent on X yet screens the other off: X ⊥ S | Z and X ⊥ Z | S. Phase 3
+runs this check with one variable as X, phase 2 with two labels as S and Z.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .data import VariableId
-from .mb import CiTester
+from .mb import CiTester, subsets
 
 
 @dataclass(frozen=True)
@@ -34,24 +34,29 @@ class EquivalencePair:
             raise ValueError("target cannot appear on either side")
 
 
+def equivalent_info(tester: CiTester, xs, s, z) -> bool:
+    """True iff s and z are information-equivalent for the set xs.
+
+    Checks, in order: xs ⊥̸ s, xs ⊥̸ z, xs ⊥ s | z, xs ⊥ z | s. All four are
+    set tests on the tester; xs, s and z must be nonempty and disjoint.
+    """
+    if tester.set_independent(xs, s, ()):
+        return False
+    if tester.set_independent(xs, z, ()):
+        return False
+    return (tester.set_independent(xs, s, z)
+            and tester.set_independent(xs, z, s))
+
+
 def contains_equivalent_info(tester: CiTester, target: VariableId,
                              s, z) -> bool:
-    """True iff s and z are information-equivalent for the target.
-
-    Checks, in order: target ⊥̸ s, target ⊥̸ z, target ⊥ s | z,
-    target ⊥ z | s. All four are set tests on the tester.
-    """
+    """Validated :func:`equivalent_info` for the single target."""
     s, z = frozenset(s), frozenset(z)
     if not s or not z:
         raise ValueError("both sides must be nonempty")
     if s & z or target in s | z:
         raise ValueError("target, s and z must not overlap")
-    if tester.set_independent((target,), s, ()):
-        return False
-    if tester.set_independent((target,), z, ()):
-        return False
-    return (tester.set_independent((target,), s, z)
-            and tester.set_independent((target,), z, s))
+    return equivalent_info(tester, (target,), s, z)
 
 
 def find_equivalences(tester: CiTester, x: VariableId, pc_x, candidates,
@@ -70,17 +75,13 @@ def find_equivalences(tester: CiTester, x: VariableId, pc_x, candidates,
     # prefilter: variables marginally independent of x can never appear in Z
     pool = [c for c in pool if not tester.independent(c, x, ())]
 
-    s_subsets = []
-    for size in range(1, min(max_z, len(pc)) + 1):
-        s_subsets.extend(itertools.combinations(pc, size))
-
     found = []
-    for size in range(1, min(max_z, len(pool)) + 1):
-        for z in itertools.combinations(pool, size):
-            if size > 1 and tester.set_independent((x,), z, ()):
-                continue
-            for s in s_subsets:
-                if contains_equivalent_info(tester, x, s, z):
-                    found.append(EquivalencePair(
-                        target=x, s=frozenset(s), z=frozenset(z)))
+    for z in subsets(pool, max_z):
+        if len(z) > 1 and tester.set_independent((x,), z, ()):
+            continue
+        # the sides are disjoint by construction: s from pc, z from outside
+        for s in subsets(pc, max_z):
+            if equivalent_info(tester, (x,), s, z):
+                found.append(EquivalencePair(
+                    target=x, s=frozenset(s), z=frozenset(z)))
     return found

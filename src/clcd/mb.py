@@ -103,17 +103,22 @@ class LocalStructure:
         )
 
 
-def _search_sepset(tester, target, x, pool, max_size):
+def subsets(pool, max_size):
+    """Nonempty subsets of ``pool`` up to ``max_size``, smallest first, in
+    ``itertools.combinations`` order within a size: every scan's order."""
+    for size in range(1, min(max_size, len(pool)) + 1):
+        yield from itertools.combinations(pool, size)
+
+
+def search_sepset(tester, target, x, pool, max_size):
     """Smallest separating subset of ``pool`` for (x, target), or None.
 
     Size zero is skipped: callers only probe variables already known to be
     marginally dependent on the target.
     """
-    pool = sorted(pool)
-    for size in range(1, min(max_size, len(pool)) + 1):
-        for subset in itertools.combinations(pool, size):
-            if tester.independent(x, target, subset):
-                return frozenset(subset)
+    for subset in subsets(sorted(pool), max_size):
+        if tester.independent(x, target, subset):
+            return frozenset(subset)
     return None
 
 
@@ -147,7 +152,7 @@ def hiton_pc(tester: CiTester, target: VariableId, candidates,
         # variable carrying the same information as an existing member
         # would evict it (both directions separate exactly) and the set
         # would churn toward the last-ranked copy
-        sep = _search_sepset(tester, target, x, pc, cfg.max_cond_size)
+        sep = search_sepset(tester, target, x, pc, cfg.max_cond_size)
         if sep is not None:
             sepsets[x] = sep
             continue
@@ -156,9 +161,9 @@ def hiton_pc(tester: CiTester, target: VariableId, candidates,
         while changed:
             changed = False
             for y in list(pc):
-                sep = _search_sepset(tester, target, y,
-                                     [v for v in pc if v != y],
-                                     cfg.max_cond_size)
+                sep = search_sepset(tester, target, y,
+                                    [v for v in pc if v != y],
+                                    cfg.max_cond_size)
                 if sep is not None:
                     pc.remove(y)
                     sepsets[y] = sep

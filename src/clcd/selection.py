@@ -7,7 +7,6 @@ into explicit common-variable choices, leaving per-label specific sets.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -21,7 +20,7 @@ from .discovery import (
     side_index,
     theta_candidates,
 )
-from .mb import CiTester, G2Tester
+from .mb import CiTester, G2Tester, search_sepset
 
 log = logging.getLogger("clcd")
 
@@ -48,31 +47,17 @@ class FeatureSelectionResult:
         return [ds.names[v] for v in sorted(self.selected)]
 
 
-def _always_dependent(tester, x: VariableId, target: VariableId,
-                      base: list, cfg: CiConfig) -> bool:
-    """x stays dependent on target under every small subset of base."""
-    if tester.independent(x, target, ()):
-        return False
-    top = min(cfg.max_cond_size, len(base))
-    for size in range(1, top + 1):
-        for sub in itertools.combinations(base, size):
-            if tester.independent(x, target, sub):
-                return False
-    return True
-
-
 def delabel_pc(tester: CiTester, label: VariableId, structures: dict, labels,
-               cfg: CiConfig, source_pc: dict | None = None) -> set:
+               cfg: CiConfig, source_pc: dict) -> set:
     """Replace labels in PC(label) by members drawn from their own PCs.
 
     ``source_pc`` maps each label to the PC snapshot used as its substitution
-    pool (defaults to the current PCs). Candidates are admitted when they stay
-    dependent on ``label`` under every conditioning subset of the post-removal
-    PC; all candidates of one round are judged against the same snapshot.
-    A removed label is banned from re-admission, which breaks label cycles.
+    pool. Candidates are admitted when they are marginally dependent on
+    ``label`` and :func:`~clcd.mb.search_sepset` finds no separator among
+    the post-removal PC; all candidates of one round are judged against the
+    same snapshot. A removed label is banned from re-admission, which breaks
+    label cycles.
     """
-    if source_pc is None:
-        source_pc = {t: frozenset(structures[t].pc) for t in labels}
     st = structures[label]
     label_set = set(labels)
     banned: set = set()
@@ -94,9 +79,10 @@ def delabel_pc(tester: CiTester, label: VariableId, structures: dict, labels,
             log.info("delabel(%d): labels %s stay excluded", label,
                      sorted(blocked))
             pool -= blocked
-        base = sorted(st.pc)
         admitted = [x for x in sorted(pool)
-                    if _always_dependent(tester, x, label, base, cfg)]
+                    if not tester.independent(x, label, ())
+                    and search_sepset(tester, label, x, st.pc,
+                                      cfg.max_cond_size) is None]
         for x in admitted:
             st.pc.add(x)
             st.sepsets.pop(x, None)
@@ -187,8 +173,7 @@ def clcd_fs(ds: Dataset, cfg: CiConfig = CiConfig(), max_z: int = 1,
     if tester is None:
         tester = G2Tester(ds, cfg)
     structures = phase1_structures(tester, ds, labels, cfg)
-    if len(labels) > 1:
-        phase2_retrieve(tester, ds, labels, structures, cfg, max_z=max_z)
+    phase2_retrieve(tester, ds, labels, structures, cfg, max_z=max_z)
     source_pc = {t: frozenset(structures[t].pc) for t in labels}
     for t in labels:
         delabel_pc(tester, t, structures, labels, cfg, source_pc=source_pc)

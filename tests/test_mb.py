@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 from clcd.citest import CiConfig, CiResult
 from clcd.mb import (CiTester, G2Tester, LocalStructure, hiton_mb,
-                     hiton_pc, iamb)
+                     hiton_pc, iamb, subsets)
 from clcd.synth import (DsepTester, GenConfig, generate, graphical_mb,
                         random_net, sample)
 from conftest import permute_rows
@@ -229,3 +233,17 @@ def test_g2_and_dsep_testers_share_the_tester_protocol(chain_net):
                     == tester.set_ci([0], [2], z).independent)
     assert [t.independent(0, 2, (1,)) for t in testers] == [True, True]
     assert not isinstance(object(), CiTester)
+
+
+@given(pool=hst.lists(hst.integers(0, 20), max_size=7, unique=True),
+       k=hst.integers(0, 9))
+def test_subsets_is_size_major_combinations(pool, k):
+    expected = [c for size in range(1, min(k, len(pool)) + 1)
+                for c in itertools.combinations(pool, size)]
+    assert list(subsets(pool, k)) == expected
+
+
+def test_subsets_caps_a_huge_size_at_the_pool():
+    # the size loop stops at len(pool), not at max_size
+    assert list(subsets(range(3), 10**9)) == [
+        (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]

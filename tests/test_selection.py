@@ -37,7 +37,8 @@ def test_delabel_replaces_label_with_its_parents():
     tester = G2Tester(ds, cfg)
     st = phase1_structures(tester, ds, [2, 3], cfg)
     assert 2 in st[3].pc  # L0 shows up inside PC(L1)
-    delabel_pc(tester, 3, st, [2, 3], cfg)
+    source_pc = {t: frozenset(st[t].pc) for t in (2, 3)}
+    delabel_pc(tester, 3, st, [2, 3], cfg, source_pc)
     assert 2 not in st[3].pc
     assert 0 in st[3].pc  # F0 stands in for L0
     assert 1 in st[3].pc  # F1 was already there and stays
@@ -58,8 +59,9 @@ def test_delabel_bans_label_cycles():
     st = phase1_structures(tester, ds, [0, 1], cfg)
     assert st[0].pc == {1}
     assert st[1].pc == {0}
-    delabel_pc(tester, 0, st, [0, 1], cfg)
-    delabel_pc(tester, 1, st, [0, 1], cfg)
+    source_pc = {t: frozenset(st[t].pc) for t in (0, 1)}
+    delabel_pc(tester, 0, st, [0, 1], cfg, source_pc)
+    delabel_pc(tester, 1, st, [0, 1], cfg, source_pc)
     assert st[0].pc == set()
     assert st[1].pc == set()
 
