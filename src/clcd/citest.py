@@ -7,6 +7,13 @@ so the two are the same test, and :func:`cond_mutual_information` reads the
 same sum, so ``G² = 2 n ln(2) I(X;Y|Z)`` holds to floating-point rounding by
 construction.
 
+The one shortcut is the marginal table, for x ⊥ y with single variables and
+no z. One row per variable u AND-popcounts u's bit planes (one per variable
+and level) with every later variable's: exact counts, turned into O·ln(O/E)
+terms by the kernel's own int64 product, true division and ufuncs. A test
+sums its table's terms in the kernel's (x, y) order, with ``.sum()`` on a
+contiguous array as the kernel does, so both paths give the same bits.
+
 Each count table is built in O(n) by one ``np.bincount``, stratum-minor
 (shape ``(rx, ry, n_strata)``), so every marginal sum runs over contiguous
 strata. Only a table with more cells than the data has rows is compacted
@@ -34,6 +41,7 @@ MAX_CELLS_PER_STRATUM = 4096
 
 # Hard cap on the whole (strata x cells) work array. Tests large enough to
 # trip it could never be reliable at the sample sizes this library targets.
+# The marginal table's bit planes and rows are held to it too.
 _MAX_TABLE_CELLS = 1 << 26
 
 
@@ -161,6 +169,57 @@ def _strata(ds: Dataset, zt: tuple[VariableId, ...],
     return entry[2:]
 
 
+def _planes(ds: Dataset) -> tuple | None:
+    """(words, offsets, margins, observed): bit plane ``codes[v] == k`` packed
+    into uint64 row ``offsets[v] + k`` of ``words``, its count, and v's levels
+    that occur. None when the planes or rows could pass _MAX_TABLE_CELLS."""
+    if None not in ds._marginal:
+        offsets = np.concatenate(([0], np.cumsum(ds.arities)))
+        levels, n_words = int(offsets[-1]), -(-ds.n_rows // 64)
+        entry = None
+        if levels * max(n_words, levels) <= _MAX_TABLE_CELLS:
+            planes = np.zeros((levels, 8 * n_words), dtype=np.uint8)
+            for v, a in enumerate(ds.arities):
+                planes[offsets[v]:offsets[v + 1], :(ds.n_rows + 7) // 8] = \
+                    np.packbits(ds.codes[v] == np.arange(a)[:, None], axis=1)
+            words = planes.view(np.uint64)
+            margins = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+            observed = np.add.reduceat(margins > 0, offsets[:-1],
+                                       dtype=np.int64)
+            entry = words, offsets, margins, observed
+            for arr in entry:
+                arr.setflags(write=False)
+        ds._marginal[None] = entry
+    return ds._marginal[None]
+
+
+def _marginal(ds: Dataset, x: VariableId, y: VariableId) -> tuple[float, int]:
+    """:func:`_nat_kernel`'s (nat, dof) for ``x ⊥ y`` with no conditioning set.
+
+    The row of u = min(x, y) holds the terms of u against every later
+    variable, NaN where a count is 0. A test sums its block's other terms,
+    transposed into (x, y) order when x > y.
+    """
+    words, offsets, margins, observed = ds._marginal[None]
+    u, w = min(x, y), max(x, y)
+    lo, hi = offsets[u], offsets[u + 1]
+    row = ds._marginal.get(u)
+    if row is None:
+        counts = np.array([np.bitwise_count(words[k] & words[hi:]).sum(
+            axis=1, dtype=np.int64) for k in range(lo, hi)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            row = counts * np.log(
+                counts / (margins[lo:hi, None] * margins[hi:] / ds.n_rows))
+        row.setflags(write=False)
+        ds._marginal[u] = row
+    terms = row[:, offsets[w] - hi:offsets[w + 1] - hi]
+    if x > y:
+        terms = terms.T
+    nat = float(terms[~np.isnan(terms)].sum())
+    dof = max(int(observed[x]) - 1, 0) * (int(observed[y]) - 1)
+    return max(nat, 0.0), dof
+
+
 def _validate_sets(xs, ys, z) -> tuple[tuple, tuple, tuple]:
     xt = tuple(sorted(map(int, xs)))
     yt = tuple(sorted(map(int, ys)))
@@ -193,6 +252,9 @@ def set_ci(ds: Dataset, xs, ys, z=(), cfg: CiConfig = CiConfig()) -> CiResult:
     MAX_CELLS_PER_STRATUM cells, the test is reported unreliable.
     """
     xt, yt, zt = _validate_sets(xs, ys, z)
+    if not zt and len(xt) == len(yt) == 1 and _planes(ds) is not None:
+        nat, dof = _marginal(ds, xt[0], yt[0])
+        return _result_from_kernel(nat, dof, ds.n_rows, cfg)
     xcode, rx = _fold(ds, xt)
     ycode, ry = _fold(ds, yt)
     if (len(xt) > 1 or len(yt) > 1) and rx * ry > MAX_CELLS_PER_STRATUM:

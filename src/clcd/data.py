@@ -22,11 +22,14 @@ class Dataset:
     ``codes`` has shape (n_vars, n_rows) so a test over (x, y | z) touches
     only the rows it involves. Codes for variable v lie in [0, arities[v]).
     ``is_label`` marks target columns; everything else is a feature.
-    The arrays are the dataset's own read-only copies, so ``_memo`` (values
-    derived from them, kept by ``citest``) never goes stale; it dies with the
-    dataset. ``codes`` is kept without a copy only when it is already a
-    read-only, C-contiguous int64 array that owns its data, as the loaders
-    and ``synth.sample`` hand it over. Equality is identity.
+    The arrays are the dataset's own read-only copies, so what ``citest``
+    derives from them never goes stale. ``_memo`` keeps the last conditioning
+    set's strata. ``_marginal`` keeps the marginal table: the bit planes,
+    packed on the first marginal test, and the row of each variable tested,
+    all read-only and never replaced. Both die with the dataset. ``codes`` is
+    kept without a copy only when it is already a read-only, C-contiguous
+    int64 array that owns its data, as the loaders and ``synth.sample`` hand
+    it over. Equality is identity.
     """
 
     codes: np.ndarray
@@ -34,6 +37,7 @@ class Dataset:
     is_label: np.ndarray
     names: tuple[str, ...]
     _memo: dict = field(default_factory=dict, init=False, repr=False)
+    _marginal: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         codes = self.codes

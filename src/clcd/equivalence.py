@@ -50,7 +50,12 @@ def equivalent_info(tester: CiTester, xs, s, z) -> bool:
 
 def contains_equivalent_info(tester: CiTester, target: VariableId,
                              s, z) -> bool:
-    """Validated :func:`equivalent_info` for the single target."""
+    """Validated public form of :func:`equivalent_info` for one target.
+
+    The library's own scans call :func:`equivalent_info` on sides they build
+    disjoint. This form checks the sides first; the equivalence demo and
+    acceptance criteria 05 and 09 call it on sides they pick by hand.
+    """
     s, z = frozenset(s), frozenset(z)
     if not s or not z:
         raise ValueError("both sides must be nonempty")

@@ -216,11 +216,13 @@ def _permutation_cpt(rng, arity: int) -> np.ndarray:
     return cpt
 
 
-def _guarded_net(rng, parents, arity: int, is_label, names) -> BayesNet:
-    """Network over ``parents`` with every CPT drawn in node-id order.
+def _guarded_fields(rng, parents, arity: int, is_label, names) -> list:
+    """Fields of a network over ``parents``, every CPT drawn in node-id order.
 
     A root gets a bounded root row; any other node gets a guarded CPT whose
-    effect floor is judged against its parents' approximate marginals.
+    effect floor is judged against its parents' approximate marginals. The
+    fields are lists in ``BayesNet`` order, so copies can be appended before
+    the one validating ``BayesNet(*map(tuple, fields))``.
     """
     cpts: list = []
     marginal: list = []
@@ -234,11 +236,8 @@ def _guarded_net(rng, parents, arity: int, is_label, names) -> BayesNet:
             cpt = _guarded_cpt(rng, [arity] * len(ps), par_marg, arity)
             cpts.append(cpt)
             marginal.append(_weights(par_marg) @ cpt)
-    return BayesNet(parents=tuple(tuple(ps) for ps in parents),
-                    cpts=tuple(cpts),
-                    arities=tuple([arity] * len(parents)),
-                    is_label=tuple(is_label),
-                    names=tuple(names))
+    return [[tuple(ps) for ps in parents], cpts, [arity] * len(parents),
+            list(is_label), list(names)]
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +263,10 @@ def generate(cfg: GenConfig):
 
     Boundary members are planned as root handles, which double as the first
     node ids. The copy-free network takes the rest in topological blocks
-    (background features, labels, children), and :func:`inject_equivalence`
-    then appends the planned copies as the last block. Raises ValueError when
-    n_features cannot host the planned members.
+    (background features, labels, children), and the planned copies are
+    appended as the last block, as :func:`inject_equivalence` appends them,
+    before the net is validated once. Raises ValueError when n_features
+    cannot host the planned members.
     """
     rng = np.random.default_rng(cfg.seed)
     k = cfg.n_labels
@@ -385,8 +385,9 @@ def generate(cfg: GenConfig):
             feature_counter += 1
 
     # -- CPTs with detectability guards, then the planned copies -------------
-    net = _guarded_net(rng, parents, cfg.arity, is_label, names)
-    net, classes = inject_equivalence(net, injected, rng)
+    fields = _guarded_fields(rng, parents, cfg.arity, is_label, names)
+    classes = _append_copies(fields, injected, rng)
+    net = BayesNet(*map(tuple, fields))
 
     # -- ground truth ----------------------------------------------------------
     class_of = dict(zip(injected, classes))
@@ -430,27 +431,29 @@ def inject_equivalence(net: BayesNet, copies: dict, rng):
     exactly that node's information; acyclicity is preserved (copies are
     leaves with one parent).
     """
-    if any(net.arities[x] < 2 for x in copies):
+    fields = [list(net.parents), list(net.cpts), list(net.arities),
+              list(net.is_label), list(net.names)]
+    classes = _append_copies(fields, copies, rng)
+    return BayesNet(*map(tuple, fields)), classes
+
+
+def _append_copies(fields: list, copies: dict, rng) -> list:
+    """Append :func:`inject_equivalence`'s copies to a network's field lists
+    in place, before any validation; returns the classes."""
+    parents, cpts, arities, is_label, names = fields
+    if any(arities[x] < 2 for x in copies):
         raise ValueError("node must have arity >= 2")
-    parents = list(net.parents)
-    cpts = list(net.cpts)
-    arities = list(net.arities)
-    is_label = list(net.is_label)
-    names = list(net.names)
     classes = []
     for x, count in copies.items():
         first = len(parents)
         for j in range(count):
             parents.append((x,))
-            cpts.append(_permutation_cpt(rng, net.arities[x]))
-            arities.append(net.arities[x])
+            cpts.append(_permutation_cpt(rng, arities[x]))
+            arities.append(arities[x])
             is_label.append(False)
-            names.append(f"{net.names[x]}_c{j + 1}")
+            names.append(f"{names[x]}_c{j + 1}")
         classes.append(frozenset([x, *range(first, len(parents))]))
-    new_net = BayesNet(parents=tuple(parents), cpts=tuple(cpts),
-                       arities=tuple(arities), is_label=tuple(is_label),
-                       names=tuple(names))
-    return new_net, classes
+    return classes
 
 
 def sample(net: BayesNet, n: int, seed) -> Dataset:
@@ -614,6 +617,6 @@ def random_net(n_nodes: int, edge_prob: float, rng, arity: int = 2,
             ps = [ps[j] for j in sorted(picks)]
         parents.append(tuple(ps))
     label_nodes = set(label_nodes)
-    return _guarded_net(rng, parents, arity,
-                        [i in label_nodes for i in range(n_nodes)],
-                        [f"V{i}" for i in range(n_nodes)])
+    return BayesNet(*map(tuple, _guarded_fields(
+        rng, parents, arity, [i in label_nodes for i in range(n_nodes)],
+        [f"V{i}" for i in range(n_nodes)])))

@@ -16,6 +16,7 @@ from clcd.citest import (
     CiResult,
     _fold,
     _nat_kernel,
+    _result_from_kernel,
     _strata,
     cond_mutual_information,
     g2_test,
@@ -485,3 +486,97 @@ def test_category_recoding_keeps_g2_results(seed):
             assert got.statistic == pytest.approx(ref.statistic, rel=1e-12,
                                                   abs=1e-12)
             assert got.p_value == pytest.approx(ref.p_value, rel=1e-12)
+
+
+def _kernel_only(ds, x, y, cfg=CiConfig()):
+    """``g2_test(ds, x, y)`` through ``_fold`` and ``_nat_kernel`` alone."""
+    xcode, rx = _fold(ds, (x,))
+    ycode, ry = _fold(ds, (y,))
+    return _result_from_kernel(*_nat_kernel(xcode, rx, ycode, ry, None, 1),
+                               ds.n_rows, cfg)
+
+
+@st.composite
+def _marginal_tables(draw):
+    # Declared arities 2-6 over columns that may use fewer levels, skip the
+    # lower ones, or hold one value; n crosses the 64-row word boundaries.
+    n = draw(st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129])
+             | st.integers(1, 300))
+    arities = draw(st.lists(st.integers(2, 6), min_size=2, max_size=7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for a in arities:
+        low, high = sorted(rng.integers(0, a, 2))
+        columns.append(rng.integers(low, high + 1, n))
+    return build_dataset({f"v{i}": c for i, c in enumerate(columns)},
+                         arities=arities)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_marginal_tables())
+def test_marginal_table_equals_kernel_for_every_ordered_pair(ds):
+    # Both orders of a pair read one row's block, one of them transposed.
+    for x in range(ds.n_vars):
+        for y in range(ds.n_vars):
+            if x != y:
+                assert g2_test(ds, x, y) == _kernel_only(ds, x, y)
+    assert ds._marginal[None] is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_marginal_table_warm_matches_cold_dataset(data):
+    # Marginal tests through both entry points, in any order and interleaved
+    # with conditional ones, each equal to a cold dataset's answer.
+    ds = data.draw(_marginal_tables())
+    orders = st.permutations(range(ds.n_vars))
+    for x, y, *rest in data.draw(st.lists(orders, min_size=1, max_size=12)):
+        zs = data.draw(st.sampled_from([(), tuple(rest[:1])]))
+        assert g2_test(ds, x, y, zs) == g2_test(_cold(ds), x, y, zs)
+        assert set_ci(ds, [y], [x]) == set_ci(_cold(ds), [y], [x])
+
+
+def test_marginal_table_is_per_dataset():
+    # Two datasets of one shape: each test reads its own dataset's rows.
+    rng = np.random.default_rng(12)
+    a = build_dataset({f"v{i}": rng.integers(0, 3, 200) for i in range(4)})
+    flip = rng.random((4, 200)) < 0.5
+    b = build_dataset({f"v{i}": c for i, c in enumerate((a.codes + flip) % 3)},
+                      arities=a.arities)
+    results = []
+    for ds in (a, b, a, b):
+        for x, y in ((0, 1), (1, 0), (2, 3)):
+            res = g2_test(ds, x, y)
+            assert res == _kernel_only(ds, x, y)
+            g2, dof = _g2_by_counting(ds.codes[x], ds.codes[y], [()] * 200)
+            assert res.dof == dof
+            assert res.statistic == pytest.approx(g2, rel=1e-12)
+            results.append(res)
+    assert results[:3] == results[6:9] and results[3:6] == results[9:]
+    assert results[:3] != results[3:6]
+    assert a._marginal[0] is not b._marginal[0]
+
+
+def test_marginal_table_arrays_are_read_only():
+    rng = np.random.default_rng(6)
+    ds = build_dataset({f"v{i}": rng.integers(0, 3, 70) for i in range(4)})
+    g2_test(ds, 2, 0)
+    g2_test(ds, 1, 3)
+    assert sorted(k for k in ds._marginal if k is not None) == [0, 1]
+    arrays = [*ds._marginal[None], ds._marginal[0], ds._marginal[1]]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_dataset_with_marginal_table_is_freed():
+    rng = np.random.default_rng(1)
+    ds = build_dataset({f"v{i}": rng.integers(0, 2, 20) for i in range(5)},
+                       arities=[2] * 5)
+    g2_test(ds, 0, 1)
+    assert ds._marginal
+    ref = weakref.ref(ds)
+    del ds
+    gc.collect()
+    assert ref() is None
