@@ -14,7 +14,7 @@ import itertools
 import logging
 import math
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -94,29 +94,22 @@ def run_benchmark(template: GenConfig, p_c_grid, p_m_grid,
             net, truth = generate(gcfg)
             datasets.append((seed, sample(net, gcfg.n_samples, seed), truth))
         for name in algorithms:
-            per_metric = {m: [] for m in METRIC_NAMES}
-            times = []
             cell_runs = []
             for seed, ds, truth in datasets:
                 start = time.perf_counter()
                 common, specific = run_algorithm(name, ds, cfg=cfg,
                                                  max_z=max_z)
                 elapsed = time.perf_counter() - start
-                times.append(elapsed)
                 scores = score_variables(common, specific, truth)
-                for group, vs in scores.items():
-                    per_metric[f"{group}_precision"].append(vs.precision)
-                    per_metric[f"{group}_recall"].append(vs.recall)
                 cell_runs.append({
                     "seed": seed,
                     "time_s": elapsed,
-                    "scores": {g: {"tp": vs.tp, "fp": vs.fp, "fn": vs.fn,
-                                   "precision": vs.precision,
-                                   "recall": vs.recall}
-                               for g, vs in scores.items()}})
+                    "scores": {g: asdict(vs) for g, vs in scores.items()}})
+            times = [run["time_s"] for run in cell_runs]
             lg_time = math.log10(max(float(np.mean(times)), 1e-9))
             for metric in METRIC_NAMES:
-                vals = per_metric[metric]
+                group, stat = metric.split("_")
+                vals = [run["scores"][group][stat] for run in cell_runs]
                 rows.append({
                     "metric": metric,
                     "p_c": p_c,
@@ -130,7 +123,8 @@ def run_benchmark(template: GenConfig, p_c_grid, p_m_grid,
                             "runs": cell_runs})
             log.info("cell p_c=%s p_m=%s %s: averaged recall %.3f",
                      p_c, p_m, name,
-                     float(np.mean(per_metric["averaged_recall"])))
+                     float(np.mean([run["scores"]["averaged"]["recall"]
+                                    for run in cell_runs])))
     return rows, details
 
 

@@ -1,10 +1,11 @@
 """Command line entry points.
 
-Every subcommand resolves its configuration, computes all outputs in memory,
-then writes them plus a manifest recording the exact invocation, input file
-hashes, and wall-clock time. ``rerun`` replays a manifest into a new
-directory, which is the reproducibility contract: byte-identical outputs up
-to the manifest itself and timing fields.
+Every subcommand resolves its configuration and computes all outputs in
+memory, returning them with its seed and input paths. ``main`` then writes
+them plus a manifest recording the exact invocation, input file hashes, and
+wall-clock time. ``rerun`` replays a manifest into a new directory, which is
+the reproducibility contract: byte-identical outputs up to the manifest
+itself and timing fields.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -65,21 +67,8 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _json_default(obj):
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2,
-                      default=_json_default) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _sha256(path) -> str:
@@ -91,14 +80,11 @@ def _sha256(path) -> str:
 
 
 class RunOutputs:
-    """Collects rendered files and writes them together at the end."""
+    """A run's rendered files (name -> text), written together at the end."""
 
-    def __init__(self, out_dir):
+    def __init__(self, out_dir, files: dict):
         self.out_dir = Path(out_dir)
-        self.files: dict = {}
-
-    def add(self, name: str, text: str) -> None:
-        self.files[name] = text
+        self.files = files
 
     def flush(self) -> list:
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -115,18 +101,6 @@ class RunOutputs:
         return written
 
 
-def _manifest(subcommand: str, argv, seed, inputs, started: float) -> str:
-    doc = {
-        "subcommand": subcommand,
-        "argv": list(argv),
-        "seed": seed,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "version": __version__,
-        "wall_clock": time.time() - started,
-    }
-    return _dump_json(doc)
-
-
 def _common_doc(common: dict, names) -> list:
     entries = []
     for key, members in common.items():
@@ -141,12 +115,51 @@ def _specific_doc(specific: dict, names) -> dict:
             for t, members in specific.items()}
 
 
+def discovery_doc(out, names) -> dict:
+    """The discovery.json document of a ``clcd`` run."""
+    return {
+        "algorithm": "clcd",
+        "common": _common_doc(out.ccv, names),
+        "specific": _specific_doc(out.tcv, names),
+        "structures": {
+            names[t]: {
+                "pc": sorted(names[v] for v in st.pc),
+                "spouses": {names[s]: sorted(names[c] for c in kids)
+                            for s, kids in st.spouses.items()},
+            } for t, st in out.structures.items()},
+        "ei": {names[t]: [{"s": sorted(names[v] for v in pair.s),
+                           "z": sorted(names[v] for v in pair.z)}
+                          for pair in pairs]
+               for t, pairs in out.ei.items()},
+    }
+
+
+def selection_doc(result, ds) -> dict:
+    """The selection.json document of a ``clcd_fs`` run."""
+    names = ds.names
+    common: dict = {}
+    for choice in result.common:
+        common.setdefault(choice.labels, set()).update(choice.features)
+    return {
+        "common": _common_doc(common, names),
+        "choices": [{
+            "features": sorted(names[v] for v in choice.features),
+            "labels": sorted(names[t] for t in choice.labels),
+            "replaced": {names[t]: sorted(names[v] for v in members)
+                         for t, members in choice.replaced.items()},
+        } for choice in result.common],
+        "specific": _specific_doc(result.specific, names),
+        "feature_label_map": {names[f]: sorted(names[t] for t in ts)
+                              for f, ts in result.feature_label_map.items()},
+        "selected": result.selected_names(ds),
+    }
+
+
 # ---------------------------------------------------------------------------
 # gen
 
 
-def cmd_gen(args, argv) -> int:
-    started = time.time()
+def cmd_gen(args) -> tuple:
     gcfg = GenConfig(n_labels=args.labels, n_features=args.features,
                      n_samples=args.samples, p_c=args.pc, p_m=args.pm,
                      mb_size_range=(args.mb_min, args.mb_max),
@@ -169,52 +182,25 @@ def cmd_gen(args, argv) -> int:
         "is_label": list(net.is_label),
         "names": list(names),
     }
-    truth_doc = {
-        "mb_variants": {names[t]: [sorted(names[v] for v in var)
-                                   for var in variants]
-                        for t, variants in truth.mb_variants.items()},
-        "equivalence_classes": [sorted(names[v] for v in cls)
-                                for cls in truth.equivalence_classes],
-        "common_true": _common_doc(truth.common_true, names),
-        "specific_true": _specific_doc(truth.specific_true, names),
+    files = {
+        "data.csv": buf.getvalue(),
+        "meta.json": _dump_json({"labels": [names[t] for t in net.labels]}),
+        "network.json": _dump_json(network_doc),
+        "truth.json": _dump_json(truth_doc(truth, names)),
     }
-
-    out = RunOutputs(args.out)
-    out.add("data.csv", buf.getvalue())
-    out.add("meta.json", _dump_json({"labels": [names[t] for t in net.labels]}))
-    out.add("network.json", _dump_json(network_doc))
-    out.add("truth.json", _dump_json(truth_doc))
-    out.add("manifest.json", _manifest("gen", argv, args.seed, [], started))
-    out.flush()
-    return 0
+    return files, args.seed, []
 
 
 # ---------------------------------------------------------------------------
 # discover
 
 
-def cmd_discover(args, argv) -> int:
-    started = time.time()
+def cmd_discover(args) -> tuple:
     ds = load_dataset(args.data, args.meta)
     cfg = CiConfig(alpha=args.alpha, max_cond_size=args.max_cond)
     names = ds.names
     if args.algo == "clcd":
-        result = clcd(ds, cfg=cfg, max_z=args.max_z)
-        doc = {
-            "algorithm": "clcd",
-            "common": _common_doc(result.ccv, names),
-            "specific": _specific_doc(result.tcv, names),
-            "structures": {
-                names[t]: {
-                    "pc": sorted(names[v] for v in st.pc),
-                    "spouses": {names[s]: sorted(names[c] for c in kids)
-                                for s, kids in st.spouses.items()},
-                } for t, st in result.structures.items()},
-            "ei": {names[t]: [{"s": sorted(names[v] for v in pair.s),
-                               "z": sorted(names[v] for v in pair.z)}
-                              for pair in pairs]
-                   for t, pairs in result.ei.items()},
-        }
+        doc = discovery_doc(clcd(ds, cfg=cfg, max_z=args.max_z), names)
     else:
         common, specific = run_algorithm(args.algo, ds, cfg=cfg,
                                          max_z=args.max_z)
@@ -223,41 +209,18 @@ def cmd_discover(args, argv) -> int:
             "common": _common_doc(common, names),
             "specific": _specific_doc(specific, names),
         }
-    out = RunOutputs(args.out)
-    out.add("discovery.json", _dump_json(doc))
-    out.add("manifest.json",
-            _manifest("discover", argv, None, [args.data, args.meta], started))
-    out.flush()
-    return 0
+    return {"discovery.json": _dump_json(doc)}, None, [args.data, args.meta]
 
 
 # ---------------------------------------------------------------------------
 # select
 
 
-def cmd_select(args, argv) -> int:
-    started = time.time()
+def cmd_select(args) -> tuple:
     ds = load_dataset(args.data, args.meta)
     cfg = CiConfig(alpha=args.alpha, max_cond_size=args.max_cond)
     names = ds.names
     result = clcd_fs(ds, cfg=cfg, max_z=args.max_z)
-
-    common_as_dict: dict = {}
-    for choice in result.common:
-        common_as_dict.setdefault(choice.labels, set()).update(choice.features)
-    doc = {
-        "common": _common_doc(common_as_dict, names),
-        "choices": [{
-            "features": sorted(names[v] for v in choice.features),
-            "labels": sorted(names[t] for t in choice.labels),
-            "replaced": {names[t]: sorted(names[v] for v in members)
-                         for t, members in choice.replaced.items()},
-        } for choice in result.common],
-        "specific": _specific_doc(result.specific, names),
-        "feature_label_map": {names[f]: sorted(names[t] for t in ts)
-                              for f, ts in result.feature_label_map.items()},
-        "selected": result.selected_names(ds),
-    }
 
     selected_csv = "".join(f"{name}\n" for name in result.selected_names(ds))
 
@@ -272,14 +235,12 @@ def cmd_select(args, argv) -> int:
                 for f in feats]
         writer.writerow(row)
 
-    out = RunOutputs(args.out)
-    out.add("selection.json", _dump_json(doc))
-    out.add("selected.csv", selected_csv)
-    out.add("grid.csv", buf.getvalue())
-    out.add("manifest.json",
-            _manifest("select", argv, None, [args.data, args.meta], started))
-    out.flush()
-    return 0
+    files = {
+        "selection.json": _dump_json(selection_doc(result, ds)),
+        "selected.csv": selected_csv,
+        "grid.csv": buf.getvalue(),
+    }
+    return files, None, [args.data, args.meta]
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +254,19 @@ def _load_found(path):
               for e in doc.get("common", [])}
     specific = {t: set(vs) for t, vs in doc.get("specific", {}).items()}
     return common, specific
+
+
+def truth_doc(truth: GroundTruth, names) -> dict:
+    """The truth.json document ``gen`` writes and :func:`_load_truth` reads."""
+    return {
+        "mb_variants": {names[t]: [sorted(names[v] for v in var)
+                                   for var in variants]
+                        for t, variants in truth.mb_variants.items()},
+        "equivalence_classes": [sorted(names[v] for v in cls)
+                                for cls in truth.equivalence_classes],
+        "common_true": _common_doc(truth.common_true, names),
+        "specific_true": _specific_doc(truth.specific_true, names),
+    }
 
 
 def _load_truth(path) -> GroundTruth:
@@ -310,23 +284,19 @@ def _load_truth(path) -> GroundTruth:
                        common_true=common_true, specific_true=specific_true)
 
 
-def cmd_eval(args, argv) -> int:
-    started = time.time()
+def cmd_eval(args) -> tuple:
     variable_mode = args.found is not None or args.truth is not None
     predict_mode = args.selected is not None
     if variable_mode == predict_mode:
         raise SystemExit("eval needs either --found/--truth or "
                          "--selected/--data/--meta")
-    out = RunOutputs(args.out)
     if variable_mode:
         if args.found is None or args.truth is None:
             raise SystemExit("variable scoring needs both --found and --truth")
         common, specific = _load_found(args.found)
         truth = _load_truth(args.truth)
         scores = score_variables(common, specific, truth)
-        doc = {group: {"tp": vs.tp, "fp": vs.fp, "fn": vs.fn,
-                       "precision": vs.precision, "recall": vs.recall}
-               for group, vs in scores.items()}
+        doc = {group: asdict(vs) for group, vs in scores.items()}
         inputs = [args.found, args.truth]
     else:
         if args.data is None or args.meta is None:
@@ -353,20 +323,14 @@ def cmd_eval(args, argv) -> int:
             "features": feature_names,
         }
         inputs = [args.selected, args.data, args.meta]
-    out.add("eval.json", _dump_json(doc))
-    out.add("manifest.json",
-            _manifest("eval", argv, getattr(args, "seed", None), inputs,
-                      started))
-    out.flush()
-    return 0
+    return {"eval.json": _dump_json(doc)}, args.seed, inputs
 
 
 # ---------------------------------------------------------------------------
 # bench
 
 
-def cmd_bench(args, argv) -> int:
-    started = time.time()
+def cmd_bench(args) -> tuple:
     with open(args.sweep) as fh:
         sweep = json.load(fh)
     template = GenConfig(
@@ -392,20 +356,17 @@ def cmd_bench(args, argv) -> int:
         n_seeds=args.seeds,
         cfg=cfg,
         max_z=sweep.get("max_z", 1))
-    out = RunOutputs(args.out)
-    out.add("report.csv", render_benchmark_csv(rows))
-    out.add("details.json", _dump_json(details))
-    out.add("manifest.json",
-            _manifest("bench", argv, template.seed, [args.sweep], started))
-    out.flush()
-    return 0
+    files = {"report.csv": render_benchmark_csv(rows),
+             "details.json": _dump_json(details)}
+    return files, template.seed, [args.sweep]
 
 
 # ---------------------------------------------------------------------------
 # rerun
 
 
-def cmd_rerun(args, argv) -> int:
+def cmd_rerun(args) -> list:
+    """The manifest's argv with ``--out`` pointed at the new directory."""
     with open(args.manifest) as fh:
         doc = json.load(fh)
     stored = list(doc["argv"])
@@ -416,7 +377,7 @@ def cmd_rerun(args, argv) -> int:
         stored[idx + 1] = args.out
     else:
         stored += ["--out", args.out]
-    return main(stored)
+    return stored
 
 
 # ---------------------------------------------------------------------------
@@ -447,26 +408,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("discover", help="run discovery on a dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--meta", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--max-z", type=int, default=1)
-    p.add_argument("--max-cond", type=int, default=3)
+    # the flags discover and select share
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--data", required=True)
+    search.add_argument("--meta", required=True)
+    search.add_argument("--alpha", type=float, default=0.05)
+    search.add_argument("--max-z", type=int, default=1)
+    search.add_argument("--max-cond", type=int, default=3)
+    search.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
+    search.add_argument("--out", required=True)
+
+    p = sub.add_parser("discover", parents=[search],
+                       help="run discovery on a dataset")
     p.add_argument("--algo", default="clcd",
                    choices=("clcd", "hiton-intersect", "iamb-intersect"))
-    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_discover)
 
-    p = sub.add_parser("select", help="causal feature selection")
-    p.add_argument("--data", required=True)
-    p.add_argument("--meta", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--max-z", type=int, default=1)
-    p.add_argument("--max-cond", type=int, default=3)
-    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("select", parents=[search],
+                       help="causal feature selection")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("eval", help="score variables or downstream prediction")
@@ -490,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rerun", help="replay a manifest into a new directory")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_rerun)
 
     return parser
 
@@ -501,14 +459,25 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args, argv)
-    except SystemExit:
-        raise
+        if args.command == "rerun":
+            return main(cmd_rerun(args))
+        files, seed, inputs = args.func(args)
+        files["manifest.json"] = _dump_json({
+            "subcommand": args.command,
+            "argv": list(argv),
+            "seed": seed,
+            "inputs": {str(p): _sha256(p) for p in inputs},
+            "version": __version__,
+            "wall_clock": time.time() - started,
+        })
+        RunOutputs(args.out, files).flush()
     except (ValueError, KeyError, OSError) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -74,8 +74,10 @@ class LocalStructure:
     """PC set, spouse->children map and separator bookkeeping for one target.
 
     ``sepsets`` records, for every candidate rejected during PC search, a set
-    that rendered it independent of the target; spouse collider checks and
-    later phases reuse it.
+    that rendered it independent of the target; the spouse collider checks of
+    :func:`hiton_mb` read it. Later phases never read it: phase 2 and
+    delabeling only drop the entries of variables they move into or out of
+    the PC.
     """
 
     target: VariableId

@@ -1,9 +1,16 @@
 import csv
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
+from clcd import cli
 from clcd.cli import main, substream
+from clcd.discovery import clcd
+from clcd.selection import clcd_fs
+from clcd.synth import GenConfig, GroundTruth, generate, sample
 
 
 def _gen(tmp_path, name="run", seed=3, labels=2, features=10, samples=400,
@@ -206,6 +213,85 @@ def test_rerun_requires_argv(tmp_path):
     bad.write_text(json.dumps({"argv": []}))
     with pytest.raises(SystemExit):
         main(["rerun", "--manifest", str(bad), "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("manifest", [None, '{"subcommand": "gen"}', "{"],
+                         ids=["missing", "no-argv", "malformed"])
+def test_rerun_bad_manifest_returns_error(tmp_path, capsys, manifest):
+    path = tmp_path / "manifest.json"
+    if manifest is not None:
+        path.write_text(manifest)
+    rc = main(["rerun", "--manifest", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("pc,pm", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_documents_load_back(tmp_path, monkeypatch, pc, pm):
+    """What gen, discover and select write, the eval loaders read back."""
+    made = {}
+    for name in ("generate", "clcd", "clcd_fs"):
+        def spy(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            made[_name] = _fn(*args, **kwargs)
+            return made[_name]
+        monkeypatch.setattr(cli, name, spy)
+    out = _gen(tmp_path, labels=3, features=20,
+               extra=("--pc", str(pc), "--pm", str(pm)))
+    inputs = ["--data", str(out / "data.csv"), "--meta", str(out / "meta.json")]
+    assert main(["discover", *inputs, "--out", str(tmp_path / "disc")]) == 0
+    assert main(["select", *inputs, "--out", str(tmp_path / "sel")]) == 0
+
+    net, truth = made["generate"]
+    names = net.names
+
+    def named(vs):
+        return {names[v] for v in vs}
+
+    def common(doc):
+        return {frozenset(named(ts)): named(vs) for ts, vs in doc.items()}
+
+    def specific(doc):
+        return {names[t]: named(vs) for t, vs in doc.items()}
+
+    found = made["clcd"]
+    assert cli._load_found(tmp_path / "disc" / "discovery.json") == (
+        common(found.ccv), specific(found.tcv))
+
+    result = made["clcd_fs"]
+    union: dict = {}
+    for choice in result.common:
+        union.setdefault(choice.labels, set()).update(choice.features)
+    assert cli._load_found(tmp_path / "sel" / "selection.json") == (
+        common(union), specific(result.specific))
+
+    assert cli._load_truth(out / "truth.json") == GroundTruth(
+        mb_variants={names[t]: [frozenset(named(v)) for v in variants]
+                     for t, variants in truth.mb_variants.items()},
+        equivalence_classes=tuple(frozenset(named(cls))
+                                  for cls in truth.equivalence_classes),
+        common_true=common(truth.common_true),
+        specific_true=specific(truth.specific_true))
+
+
+def test_document_builders_match_perfbench(monkeypatch):
+    """perfbench hashes its own copies of the two builders; they must agree."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+
+    net, _ = generate(GenConfig(n_labels=3, n_features=14, n_samples=600,
+                                p_c=0.5, p_m=1.0, mb_size_range=(2, 3),
+                                seed=1))
+    ds = sample(net, 600, 2)
+    out = clcd(ds)
+    result = clcd_fs(ds)
+    assert out.ccv and result.common
+    assert (cli.discovery_doc(out, ds.names)
+            == workloads.discovery_doc(out, ds.names))
+    assert cli.selection_doc(result, ds) == workloads.selection_doc(result, ds)
 
 
 def test_version_flag(capsys):
