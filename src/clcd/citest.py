@@ -1,26 +1,23 @@
 """G² conditional-independence tests and plug-in conditional mutual information.
 
-There is one kernel. Every test folds each side and the conditioning set into
-mixed-radix codes (:func:`_fold`) and sums O·ln(O/E) over the resulting table
-(:func:`_nat_kernel`). :func:`g2_test` is :func:`set_ci` with singleton sides,
-so the two are the same test, and :func:`cond_mutual_information` reads the
-same sum, so ``G² = 2 n ln(2) I(X;Y|Z)`` holds to floating-point rounding by
-construction.
+Every test sums O·ln(O/E) over a stratum-minor count table of shape
+``(rx, ry, n_strata)`` (:func:`_nat_table`). :func:`g2_test` is :func:`set_ci`
+with singleton sides, so the two are the same test, and
+:func:`cond_mutual_information` reads the same sum, so
+``G² = 2 n ln(2) I(X;Y|Z)`` holds to floating-point rounding by construction.
 
-The one shortcut is the marginal table, for x ⊥ y with single variables and
-no z. One row per variable u AND-popcounts u's bit planes (one per variable
-and level) with every later variable's: exact counts, turned into O·ln(O/E)
-terms by the kernel's own int64 product, true division and ufuncs. A test
-sums its table's terms in the kernel's (x, y) order, with ``.sum()`` on a
-contiguous array as the kernel does, so both paths give the same bits.
-
-Each count table is built in O(n) by one ``np.bincount``, stratum-minor
-(shape ``(rx, ry, n_strata)``), so every marginal sum runs over contiguous
-strata. Only a table with more cells than the data has rows is compacted
-first, to the observed strata in code order. Cells are read back in (stratum,
-x, y) order and empty strata add nothing, so every table gives identical bits.
-The dataset keeps the last conditioning set's codes (:func:`_strata`), so
-tests under one set, as in IAMB's grow step, fold and compact it once.
+A table whose cells times the words of one bit plane fit in the rows is
+AND-popcounted from the planes (one per variable and level; a set of several
+variables ANDs its members' planes in :func:`_fold`'s order). Any other table
+is built in O(n) by one ``np.bincount`` of mixed-radix codes
+(:func:`_nat_kernel`), its strata first compacted to the observed ones, in
+code order, when it has more cells than the data has rows. Cells are read back
+in (stratum, x, y) order and empty strata add nothing, so both counters give
+identical bits. The marginal table (x ⊥ y, single variables, no z) keeps one
+row of O·ln(O/E) terms per variable u against every later variable, made by
+:func:`_nat_table`'s own int64 product, true division and ufuncs; a test sums
+its block in (x, y) order. The dataset keeps the last conditioning set's
+fold, compaction and planes, so tests under one set build each once.
 """
 
 from __future__ import annotations
@@ -83,22 +80,21 @@ def _unreliable() -> CiResult:
 
 def _nat_kernel(xcode: np.ndarray, rx: int, ycode: np.ndarray, ry: int,
                 zidx: np.ndarray | None, n_strata: int) -> tuple[float, int]:
-    """Sum of O·ln(O·N_s / (row·col)) over strata, plus the adjusted dof.
-
-    ``zidx`` is a per-row stratum code below ``n_strata``, or None for the
-    empty conditioning set (one stratum). One bincount, with no sort, fills a
-    stratum-minor table, cell ``(x·ry + y)·n_strata + s``. Nonzero cells and
-    their expected counts are read in (stratum, x, y) order and empty strata
-    have no nonzero cell or marginal, so the sum adds the same terms in the
-    same order, compacted by :func:`_strata` or not: identical bits.
-    """
+    """:func:`_nat_table` of one bincount's table, cell ``(x·ry + y)·n_strata
+    + s``. ``zidx`` is a per-row stratum code below ``n_strata``, or None for
+    the empty conditioning set (one stratum)."""
     flat = xcode * ry + ycode
     if zidx is not None:
         flat *= n_strata
         flat += zidx
-    counts = np.bincount(flat, minlength=rx * ry * n_strata).reshape(
-        rx, ry, n_strata)
+    return _nat_table(np.bincount(flat, minlength=rx * ry * n_strata).reshape(
+        rx, ry, n_strata))
 
+
+def _nat_table(counts: np.ndarray) -> tuple[float, int]:
+    """Sum of O·ln(O·N_s / (row·col)) over an int64 ``(rx, ry, n_strata)``
+    table's strata, plus the adjusted dof. Nonzero cells and their expected
+    counts are read in (stratum, x, y) order; empty strata have none."""
     rows = counts.sum(axis=1)
     cols = counts.sum(axis=0)
     totals = rows.sum(axis=0)
@@ -144,29 +140,35 @@ def _fold(ds: Dataset,
     return code, states
 
 
+def _memo_entry(ds: Dataset, zt: tuple[VariableId, ...]) -> dict:
+    """``ds._memo``'s one entry, for sorted ``zt``; a new set replaces it."""
+    if zt not in ds._memo:
+        ds._memo.clear()
+        ds._memo[zt] = {"n_states": math.prod(map(ds.arity, zt))}
+    return ds._memo[zt]
+
+
 def _strata(ds: Dataset, zt: tuple[VariableId, ...],
             cells: int) -> tuple[np.ndarray | None, int] | None:
     """Stratum code per row of sorted ``zt`` and the stratum count, or None
     past _MAX_TABLE_CELLS. With ``cells`` cells per stratum and more cells
     than rows, the observed strata are compacted by ``np.unique`` in code
-    order. ``ds._memo`` holds the last ``zt``'s fold and compaction."""
-    entry = ds._memo.get(zt)
-    if entry is None:
-        entry = _fold(ds, zt)
+    order."""
+    entry = _memo_entry(ds, zt)
+    if "code" not in entry:
+        entry["code"] = _fold(ds, zt)[0]
         if len(zt) > 1:  # a new buffer; a single column is read-only already
-            entry[0].setflags(write=False)
-        ds._memo.clear()
-        ds._memo[zt] = entry
-    code, n_states = entry[:2]
+            entry["code"].setflags(write=False)
+    code, n_states = entry["code"], entry["n_states"]
     if min(n_states, ds.n_rows) * cells > _MAX_TABLE_CELLS:
         return None
     if code is None or n_states * cells <= ds.n_rows:
         return code, n_states
-    if len(entry) == 2:
-        observed, inverse = np.unique(code, return_inverse=True)
-        inverse.setflags(write=False)
-        entry = ds._memo[zt] = entry + (inverse, len(observed))
-    return entry[2:]
+    if "inverse" not in entry:
+        observed, entry["inverse"] = np.unique(code, return_inverse=True)
+        entry["inverse"].setflags(write=False)
+        entry["n_strata"] = len(observed)
+    return entry["inverse"], entry["n_strata"]
 
 
 def _planes(ds: Dataset) -> tuple | None:
@@ -193,8 +195,39 @@ def _planes(ds: Dataset) -> tuple | None:
     return ds._marginal[None]
 
 
+def _and_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Set bits of ``a & b`` (broadcast) over the last axis, as int64."""
+    return np.bitwise_count(a & b).sum(axis=-1, dtype=np.int64)
+
+
+def _composite(words: np.ndarray, offsets: np.ndarray,
+               vs: tuple[VariableId, ...]) -> np.ndarray:
+    """Planes of the fold of nonempty ``vs``, one per state: each the AND of
+    one plane per member, in :func:`_fold`'s order (one member: a view)."""
+    head = words[offsets[vs[0]]:offsets[vs[0] + 1]]
+    for v in vs[1:]:
+        head = (head[:, None] & words[offsets[v]:offsets[v + 1]]).reshape(
+            -1, words.shape[1])
+    return head
+
+
+def _plane_table(ds: Dataset, xt: tuple, yt: tuple, zt: tuple) -> np.ndarray:
+    """Bit-plane counts of ``xt``'s states by ``yt``'s with no z, else of the
+    fold of ``xt + yt`` (rows) in each stratum of sorted ``zt`` (columns)."""
+    words, offsets = _planes(ds)[:2]
+    if not zt:
+        return _and_count(_composite(words, offsets, xt)[:, None],
+                          _composite(words, offsets, yt))
+    entry = _memo_entry(ds, zt)
+    if "planes" not in entry:
+        entry["planes"] = _composite(words, offsets, zt)
+        entry["planes"].setflags(write=False)
+    return _and_count(_composite(words, offsets, xt + yt)[:, None],
+                      entry["planes"])
+
+
 def _marginal(ds: Dataset, x: VariableId, y: VariableId) -> tuple[float, int]:
-    """:func:`_nat_kernel`'s (nat, dof) for ``x ⊥ y`` with no conditioning set.
+    """:func:`_nat_table`'s (nat, dof) for ``x ⊥ y`` with no conditioning z.
 
     The row of u = min(x, y) holds the terms of u against every later
     variable, NaN where a count is 0. A test sums its block's other terms,
@@ -205,8 +238,8 @@ def _marginal(ds: Dataset, x: VariableId, y: VariableId) -> tuple[float, int]:
     lo, hi = offsets[u], offsets[u + 1]
     row = ds._marginal.get(u)
     if row is None:
-        counts = np.array([np.bitwise_count(words[k] & words[hi:]).sum(
-            axis=1, dtype=np.int64) for k in range(lo, hi)])
+        counts = np.array([_and_count(words[k], words[hi:])
+                           for k in range(lo, hi)])
         with np.errstate(divide="ignore", invalid="ignore"):
             row = counts * np.log(
                 counts / (margins[lo:hi, None] * margins[hi:] / ds.n_rows))
@@ -232,6 +265,28 @@ def _validate_sets(xs, ys, z) -> tuple[tuple, tuple, tuple]:
     return xt, yt, zt
 
 
+def _nat(ds: Dataset, xt: tuple, yt: tuple, zt: tuple,
+         capped: bool) -> tuple[float, int] | None:
+    """:func:`_nat_table`'s (nat, dof) for sorted ``xt ⊥ yt | zt``, or None
+    past _MAX_TABLE_CELLS or, if ``capped``, past MAX_CELLS_PER_STRATUM.
+    The planes serve a table whose popcount reads no more words than the
+    kernel reads rows (and than _MAX_TABLE_CELLS); the kernel the rest."""
+    if not zt and len(xt) == len(yt) == 1 and _planes(ds) is not None:
+        return _marginal(ds, xt[0], yt[0])
+    rx, ry = math.prod(map(ds.arity, xt)), math.prod(map(ds.arity, yt))
+    n_states = _memo_entry(ds, zt)["n_states"]
+    if (rx * ry * n_states * -(-ds.n_rows // 64)
+            <= min(ds.n_rows, _MAX_TABLE_CELLS) and _planes(ds) is not None):
+        return _nat_table(_plane_table(ds, xt, yt, zt).reshape(
+            rx, ry, n_states))
+    xcode, rx = _fold(ds, xt)
+    ycode, ry = _fold(ds, yt)
+    if capped and len(xt + yt) > 2 and rx * ry > MAX_CELLS_PER_STRATUM:
+        return None
+    strata = _strata(ds, zt, rx * ry)
+    return strata and _nat_kernel(xcode, rx, ycode, ry, *strata)
+
+
 def g2_test(ds: Dataset, x: VariableId, y: VariableId, z=(),
             cfg: CiConfig = CiConfig()) -> CiResult:
     """Likelihood-ratio test of ``x ⊥ y | z`` on the dataset's counts.
@@ -251,28 +306,15 @@ def set_ci(ds: Dataset, xs, ys, z=(), cfg: CiConfig = CiConfig()) -> CiResult:
     more variables and the composite table would exceed
     MAX_CELLS_PER_STRATUM cells, the test is reported unreliable.
     """
-    xt, yt, zt = _validate_sets(xs, ys, z)
-    if not zt and len(xt) == len(yt) == 1 and _planes(ds) is not None:
-        nat, dof = _marginal(ds, xt[0], yt[0])
-        return _result_from_kernel(nat, dof, ds.n_rows, cfg)
-    xcode, rx = _fold(ds, xt)
-    ycode, ry = _fold(ds, yt)
-    if (len(xt) > 1 or len(yt) > 1) and rx * ry > MAX_CELLS_PER_STRATUM:
+    found = _nat(ds, *_validate_sets(xs, ys, z), capped=True)
+    if found is None:
         return _unreliable()
-    strata = _strata(ds, zt, rx * ry)
-    if strata is None:
-        return _unreliable()
-    nat, dof = _nat_kernel(xcode, rx, ycode, ry, *strata)
-    return _result_from_kernel(nat, dof, ds.n_rows, cfg)
+    return _result_from_kernel(*found, ds.n_rows, cfg)
 
 
 def cond_mutual_information(ds: Dataset, xs, ys, z=()) -> float:
     """Plug-in estimate of I(xs; ys | z) in bits; tiny negatives clamp to 0."""
-    xt, yt, zt = _validate_sets(xs, ys, z)
-    xcode, rx = _fold(ds, xt)
-    ycode, ry = _fold(ds, yt)
-    strata = _strata(ds, zt, rx * ry)
-    if strata is None:
+    found = _nat(ds, *_validate_sets(xs, ys, z), capped=False)
+    if found is None:
         raise ValueError("count table exceeds _MAX_TABLE_CELLS cells")
-    nat, _ = _nat_kernel(xcode, rx, ycode, ry, *strata)
-    return nat / (ds.n_rows * math.log(2.0))
+    return found[0] / (ds.n_rows * math.log(2.0))

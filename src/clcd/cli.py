@@ -369,14 +369,16 @@ def cmd_rerun(args) -> list:
     """The manifest's argv with ``--out`` pointed at the new directory."""
     with open(args.manifest) as fh:
         doc = json.load(fh)
-    stored = list(doc["argv"])
+    stored = doc.get("argv") if isinstance(doc, dict) else None
+    if not (isinstance(stored, list)
+            and all(isinstance(a, str) for a in stored)):
+        raise ValueError("manifest has no argv list of strings")
     if not stored:
         raise SystemExit("manifest records no argv")
-    if "--out" in stored:
-        idx = stored.index("--out")
-        stored[idx + 1] = args.out
-    else:
-        stored += ["--out", args.out]
+    idx = stored.index("--out") if "--out" in stored else len(stored)
+    if idx == len(stored) - 1:
+        raise ValueError("manifest argv has no value after --out")
+    stored[idx:idx + 2] = ["--out", args.out]
     return stored
 
 

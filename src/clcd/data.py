@@ -24,12 +24,12 @@ class Dataset:
     ``is_label`` marks target columns; everything else is a feature.
     The arrays are the dataset's own read-only copies, so what ``citest``
     derives from them never goes stale. ``_memo`` keeps the last conditioning
-    set's strata. ``_marginal`` keeps the marginal table: the bit planes,
-    packed on the first marginal test, and the row of each variable tested,
-    all read-only and never replaced. Both die with the dataset. ``codes`` is
-    kept without a copy only when it is already a read-only, C-contiguous
-    int64 array that owns its data, as the loaders and ``synth.sample`` hand
-    it over. Equality is identity.
+    set's fold, compaction and ANDed bit planes, each built on first need.
+    ``_marginal`` keeps every column's bit planes and each tested variable's
+    marginal row, never replaced. All are read-only and die with the dataset.
+    ``codes`` is kept without a copy only when it is already a read-only,
+    C-contiguous int64 array that owns its data, as the loaders and
+    ``synth.sample`` hand it over. Equality is identity.
     """
 
     codes: np.ndarray

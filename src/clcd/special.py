@@ -29,7 +29,7 @@ def _lower_series(a: float, x: float) -> float:
         ap += 1.0
         term *= x / ap
         total += term
-        if abs(term) < abs(total) * _EPS:
+        if term < total * _EPS:  # both positive: a > 0, x > 0
             break
     else:
         raise ArithmeticError(f"gamma series did not converge (a={a}, x={x})")

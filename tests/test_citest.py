@@ -3,6 +3,7 @@ import gc
 import math
 import weakref
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -380,13 +381,40 @@ def _cold(ds):
     return dataclasses.replace(ds)
 
 
+def _counter(ds, xs, ys, z):
+    """Which counter the size rule picks: the marginal table, the bit planes
+    (cells x words per plane <= rows) or the bincount kernel."""
+    if not z and len(xs) == len(ys) == 1:
+        return "marginal"
+    cells = math.prod(ds.arity(v) for v in (*xs, *ys, *z))
+    return "planes" if cells * -(-ds.n_rows // 64) <= ds.n_rows else "kernel"
+
+
+def _spy_counters(mp):
+    """Count the calls that reach each counter."""
+    seen = Counter()
+    for name, label in (("_marginal", "marginal"), ("_plane_table", "planes"),
+                        ("_nat_kernel", "kernel")):
+        def spy(*args, _fn=getattr(citest, name), _label=label):
+            seen[_label] += 1
+            return _fn(*args)
+        mp.setattr(citest, name, spy)
+    return seen
+
+
+def _took_kernel(ds, z):
+    """True when the memo holds ``z``'s fold, which only the kernel builds."""
+    return "code" in ds._memo.get(tuple(sorted(z)), {})
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_strata_memo_matches_memo_cold_dataset(data):
     # A few z sets, reused in any order and interleaved across the three
     # entry points, over 8 columns of arity 1-5 and 5-120 rows: large z take
-    # the compaction, small ones the dense table. Each answer must equal a
-    # cold dataset's answer for z in sorted order.
+    # the compaction, small ones the dense table or the bit planes. Each
+    # answer must equal a cold dataset's answer for z in sorted order, and
+    # each call must reach the counter that the size rule names.
     n = data.draw(st.integers(5, 120))
     arities = data.draw(st.lists(st.integers(1, 5), min_size=8, max_size=8))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -398,14 +426,20 @@ def test_strata_memo_matches_memo_cold_dataset(data):
         st.sampled_from((g2_test, set_ci, cond_mutual_information)),
         st.sampled_from(zsets), st.permutations(range(8))),
         min_size=1, max_size=12))
-    for call, zset, order in calls:
-        z = [v for v in order if v in zset]
-        rest = [v for v in order if v not in zset]
-        if len(rest) < 2:
-            continue
-        args = ((rest[0], rest[1]) if call is g2_test
-                else (rest[:1], rest[1:3]))
-        assert call(ds, *args, z) == call(_cold(ds), *args, sorted(z))
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _spy_counters(mp)
+        for call, zset, order in calls:
+            z = [v for v in order if v in zset]
+            rest = [v for v in order if v not in zset]
+            if len(rest) < 2:
+                continue
+            args = ((rest[0], rest[1]) if call is g2_test
+                    else (rest[:1], rest[1:3]))
+            sides = [[a] if call is g2_test else a for a in args]
+            before = seen.copy()
+            got = call(ds, *args, z)
+            assert seen - before == Counter([_counter(ds, *sides, z)])
+            assert got == call(_cold(ds), *args, sorted(z))
 
 
 def test_strata_memo_is_per_dataset():
@@ -429,6 +463,7 @@ def test_strata_memo_is_per_dataset():
             cmi = cond_mutual_information(ds, [x], [y], z)
             assert cmi * 2 * ds.n_rows * math.log(2.0) == pytest.approx(g2)
             results.append(res)
+        assert _took_kernel(ds, z)
     assert results[0] != results[2]
 
 
@@ -440,7 +475,8 @@ def test_strata_memo_arrays_are_read_only():
     g2_test(ds, 0, 1, (4, 2, 3))
     (key, entry), = ds._memo.items()
     assert key == (2, 3, 4)
-    arrays = [v for v in entry if isinstance(v, np.ndarray)]
+    assert _took_kernel(ds, key) and "planes" not in entry
+    arrays = [v for v in entry.values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 2
     for arr in arrays:
         assert not arr.flags.writeable
@@ -453,7 +489,9 @@ def test_dataset_with_strata_memo_is_freed():
     ds = build_dataset({f"v{i}": rng.integers(0, 2, 20) for i in range(5)},
                        arities=[2] * 5)
     g2_test(ds, 0, 1, (2, 3, 4))
-    assert ds._memo
+    assert _took_kernel(ds, (2, 3, 4))
+    g2_test(ds, 0, 1, (2, 3))  # 4 strata x 4 cells x 1 word <= 20 rows
+    assert "planes" in ds._memo[(2, 3)]
     ref = weakref.ref(ds)
     del ds
     gc.collect()
@@ -488,12 +526,15 @@ def test_category_recoding_keeps_g2_results(seed):
             assert got.p_value == pytest.approx(ref.p_value, rel=1e-12)
 
 
-def _kernel_only(ds, x, y, cfg=CiConfig()):
-    """``g2_test(ds, x, y)`` through ``_fold`` and ``_nat_kernel`` alone."""
-    xcode, rx = _fold(ds, (x,))
-    ycode, ry = _fold(ds, (y,))
-    return _result_from_kernel(*_nat_kernel(xcode, rx, ycode, ry, None, 1),
-                               ds.n_rows, cfg)
+def _kernel_only(ds, xt, yt, zt=()):
+    """The count table and result of ``set_ci(ds, xt, yt, zt)`` through
+    ``_fold``, one bincount and ``_nat_kernel``, with no memo and no planes."""
+    (xcode, rx), (ycode, ry), (zcode, nz) = map(partial(_fold, ds),
+                                                (xt, yt, zt))
+    flat = (xcode * ry + ycode) * nz + (0 if zcode is None else zcode)
+    counts = np.bincount(flat, minlength=rx * ry * nz).reshape(rx, ry, nz)
+    nat_dof = _nat_kernel(xcode, rx, ycode, ry, zcode, nz)
+    return counts, _result_from_kernel(*nat_dof, ds.n_rows, CiConfig())
 
 
 @st.composite
@@ -519,7 +560,7 @@ def test_marginal_table_equals_kernel_for_every_ordered_pair(ds):
     for x in range(ds.n_vars):
         for y in range(ds.n_vars):
             if x != y:
-                assert g2_test(ds, x, y) == _kernel_only(ds, x, y)
+                assert g2_test(ds, x, y) == _kernel_only(ds, (x,), (y,))[1]
     assert ds._marginal[None] is not None
 
 
@@ -547,7 +588,7 @@ def test_marginal_table_is_per_dataset():
     for ds in (a, b, a, b):
         for x, y in ((0, 1), (1, 0), (2, 3)):
             res = g2_test(ds, x, y)
-            assert res == _kernel_only(ds, x, y)
+            assert res == _kernel_only(ds, (x,), (y,))[1]
             g2, dof = _g2_by_counting(ds.codes[x], ds.codes[y], [()] * 200)
             assert res.dof == dof
             assert res.statistic == pytest.approx(g2, rel=1e-12)
@@ -580,3 +621,109 @@ def test_dataset_with_marginal_table_is_freed():
     del ds
     gc.collect()
     assert ref() is None
+
+
+@st.composite
+def _plane_tests(draw):
+    # 7 columns of declared arity 1-4 that may use fewer levels, skip the
+    # lower ones, or hold one value; n crosses the 64-row word boundaries.
+    # Each test has sides of 1-2 variables and 0-3 conditioning variables.
+    n = draw(st.sampled_from([63, 64, 65, 127, 128, 129])
+             | st.integers(1, 300))
+    arities = draw(st.lists(st.integers(1, 4), min_size=7, max_size=7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for a in arities:
+        low, high = sorted(rng.integers(0, a, 2))
+        columns.append(rng.integers(low, high + 1, n))
+    ds = build_dataset({f"v{i}": c for i, c in enumerate(columns)},
+                       arities=arities)
+    tests = []
+    for order in draw(st.lists(st.permutations(range(7)), min_size=1,
+                               max_size=6)):
+        kx, ky = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        kz = draw(st.integers(0, 3))
+        tests.append((order[:kx], order[kx:kx + ky],
+                      order[kx + ky:kx + ky + kz]))
+    return ds, tests
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plane_tests())
+def test_plane_tables_equal_kernel(case):
+    # Every test, in both orientations, equals the kernel's result through
+    # set_ci and g2_test, and a popcounted table equals the bincount table
+    # cell for cell, so a permuted composite order cannot hide in a sum.
+    ds, tests = case
+    for xs, ys, z in tests:
+        xt, yt, zt = (tuple(sorted(t)) for t in (xs, ys, z))
+        for a, b in ((xt, yt), (yt, xt)):
+            counts, ref = _kernel_only(ds, a, b, zt)
+            assert set_ci(ds, list(a), list(b), z) == ref
+            if len(a) == len(b) == 1:
+                assert g2_test(ds, a[0], b[0], z) == ref
+            if _counter(ds, a, b, zt) == "planes":
+                got = citest._plane_table(ds, a, b, zt)
+                assert (got.reshape(counts.shape) == counts).all()
+
+
+def test_size_rule_picks_the_counter(monkeypatch):
+    # 128 binary rows are 2 words per plane: 64 cells x 2 words = 128 rows
+    # is the largest table the planes count, so x, y | 4 binary z takes the
+    # planes and | 5 z the kernel; composite sides spend the same cells.
+    rng = np.random.default_rng(3)
+    ds = build_dataset({f"v{i}": rng.integers(0, 2, 128) for i in range(9)})
+    cases = [((0,), (1,), ()), ((0,), (1,), (2,)), ((0,), (1,), (2, 3, 4, 5)),
+             ((0, 1), (2,), (3, 4, 5)), ((0,), (1,), (2, 3, 4, 5, 6)),
+             ((0, 1), (2, 3), (4, 5, 6))]
+    expected = ["marginal", "planes", "planes", "planes", "kernel", "kernel"]
+    refs = [_kernel_only(ds, *case)[1] for case in cases]
+    seen = _spy_counters(monkeypatch)
+    for case, path, ref in zip(cases, expected, refs):
+        assert _counter(ds, *case) == path
+        before = seen.copy()
+        assert set_ci(ds, *case) == ref
+        assert seen - before == Counter([path])
+    cond_mutual_information(ds, [0], [1], [2, 3])
+    assert seen == Counter(marginal=1, planes=4, kernel=2)
+
+
+def test_plane_memo_is_one_read_only_entry():
+    # 4 strata x 4 cells x 4 words <= 200 rows: the planes count the test and
+    # the entry holds only z's planes; a kernel test under the same z adds
+    # the fold to that entry, and a new z replaces it.
+    rng = np.random.default_rng(6)
+    ds = build_dataset({f"v{i}": rng.integers(0, 2, 200) for i in range(8)})
+    set_ci(ds, [0], [1], [3, 2])
+    (key, entry), = ds._memo.items()
+    assert key == (2, 3) and set(entry) == {"n_states", "planes"}
+    planes = entry["planes"]
+    assert planes.shape == (4, 4) and planes.dtype == np.uint64
+    assert not planes.flags.writeable
+    with pytest.raises(ValueError):
+        planes[0] = 0
+    set_ci(ds, [0, 4, 5], [1, 6], [2, 3])
+    (key, entry), = ds._memo.items()
+    assert key == (2, 3) and entry["planes"] is planes
+    assert _took_kernel(ds, key)
+    set_ci(ds, [0], [1], [4, 2])
+    assert list(ds._memo) == [(2, 4)]
+
+
+def test_plane_memo_warm_matches_cold_for_sets_of_one_size():
+    # Conditioning sets of equal size, revisited: each answer reads its own
+    # set's planes, never those of another set of the same length.
+    rng = np.random.default_rng(9)
+    x = rng.integers(0, 2, 300)
+    cols = {"x": x, "y": (x + (rng.random(300) < 0.3)) % 2}
+    for i in range(4):
+        cols[f"z{i}"] = np.where(rng.random(300) < 0.2 * i, x,
+                                 rng.integers(0, 3, 300))
+    ds = build_dataset(cols)
+    results = []
+    for z in [(2,), (3,), (2,), (5,), (2, 3), (4, 5), (3, 2), (2, 5)]:
+        assert _counter(ds, [0], [1], z) == "planes"
+        res = g2_test(ds, 0, 1, z)
+        assert res == g2_test(_cold(ds), 0, 1, z)
+        results.append(res)
+    assert len({r.statistic for r in results}) == 6  # one per distinct set

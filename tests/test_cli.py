@@ -215,8 +215,11 @@ def test_rerun_requires_argv(tmp_path):
         main(["rerun", "--manifest", str(bad), "--out", str(tmp_path / "o")])
 
 
-@pytest.mark.parametrize("manifest", [None, '{"subcommand": "gen"}', "{"],
-                         ids=["missing", "no-argv", "malformed"])
+@pytest.mark.parametrize("manifest", [
+    None, '{"subcommand": "gen"}', "{", '{"argv": ["gen", "--out"]}',
+    '{"argv": null}', '{"argv": ["gen", 3]}', "[]"],
+    ids=["missing", "no-argv", "malformed", "out-without-value", "null-argv",
+         "non-string-argv", "not-an-object"])
 def test_rerun_bad_manifest_returns_error(tmp_path, capsys, manifest):
     path = tmp_path / "manifest.json"
     if manifest is not None:
