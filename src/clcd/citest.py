@@ -1,9 +1,9 @@
 """G² conditional-independence tests and plug-in conditional mutual information.
 
 Every test sums O·ln(O/E) over a stratum-minor count table of shape
-``(rx, ry, n_strata)`` (:func:`_nat_table`). :func:`g2_test` is :func:`set_ci`
-with singleton sides, so the two are the same test, and
-:func:`cond_mutual_information` reads the same sum, so
+``(rx, ry, n_strata)``, scored by :func:`_nat_tables` in a stack of one or
+more. :func:`g2_test` is :func:`set_ci` with singleton sides, so the two are
+the same test, and :func:`cond_mutual_information` reads the same sum, so
 ``G² = 2 n ln(2) I(X;Y|Z)`` holds to floating-point rounding by construction.
 
 A table whose cells times the words of one bit plane fit in the rows is
@@ -15,9 +15,11 @@ code order, when it has more cells than the data has rows. Cells are read back
 in (stratum, x, y) order and empty strata add nothing, so both counters give
 identical bits. The marginal table (x ⊥ y, single variables, no z) keeps one
 row of O·ln(O/E) terms per variable u against every later variable, made by
-:func:`_nat_table`'s own int64 product, true division and ufuncs; a test sums
+:func:`_nat_tables`' own int64 product, true division and ufuncs; a test sums
 its block in (x, y) order. The dataset keeps the last conditioning set's
-fold, compaction and planes, so tests under one set build each once.
+fold, compaction and planes, so tests under one set build each once, and
+the results :func:`prefetch` counted ahead under it, one stack per table
+shape with each table still summed alone, until their tests take them.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ MAX_CELLS_PER_STRATUM = 4096
 # trip it could never be reliable at the sample sizes this library targets.
 # The marginal table's bit planes and rows are held to it too.
 _MAX_TABLE_CELLS = 1 << 26
+_BATCH_WORDS = 1 << 17  # ANDed plane words per prefetch chunk (1 MiB)
 
 
 @dataclass(frozen=True)
@@ -80,34 +83,37 @@ def _unreliable() -> CiResult:
 
 def _nat_kernel(xcode: np.ndarray, rx: int, ycode: np.ndarray, ry: int,
                 zidx: np.ndarray | None, n_strata: int) -> tuple[float, int]:
-    """:func:`_nat_table` of one bincount's table, cell ``(x·ry + y)·n_strata
+    """:func:`_nat_tables` of one bincount's table, cell ``(x·ry + y)·n_strata
     + s``. ``zidx`` is a per-row stratum code below ``n_strata``, or None for
     the empty conditioning set (one stratum)."""
     flat = xcode * ry + ycode
     if zidx is not None:
         flat *= n_strata
         flat += zidx
-    return _nat_table(np.bincount(flat, minlength=rx * ry * n_strata).reshape(
-        rx, ry, n_strata))
+    return _nat_tables(np.bincount(flat, minlength=rx * ry * n_strata).reshape(
+        1, rx, ry, n_strata))[0]
 
 
-def _nat_table(counts: np.ndarray) -> tuple[float, int]:
-    """Sum of O·ln(O·N_s / (row·col)) over an int64 ``(rx, ry, n_strata)``
-    table's strata, plus the adjusted dof. Nonzero cells and their expected
-    counts are read in (stratum, x, y) order; empty strata have none."""
-    rows = counts.sum(axis=1)
-    cols = counts.sum(axis=0)
-    totals = rows.sum(axis=0)
-
-    with np.errstate(divide="ignore", invalid="ignore"):  # NaN: empty strata
-        expected = (rows[:, None] * cols / totals).transpose(2, 0, 1).ravel()
-    counts = counts.transpose(2, 0, 1).ravel()  # (stratum, x, y) order
+def _nat_tables(counts: np.ndarray) -> list[tuple[float, int]]:
+    """Sum of O·ln(O·N_s / (row·col)) over the strata, and the adjusted dof,
+    of each int64 ``(rx, ry, n_strata)`` table in a ``(B, ...)`` stack. The
+    terms are made for the whole stack; each table's nonzero ones, in
+    (stratum, x, y) order, are summed alone, the same in any stack."""
+    rows, cols = np.add.reduce(counts, 2), np.add.reduce(counts, 1)
+    # Empty strata divide by 1, not 0: they have no nonzero cell to read.
+    expected = (rows[:, :, None] * cols[:, None] / np.maximum(
+        np.add.reduce(rows, 1), 1)[:, None, None]).transpose(0, 3, 1, 2)
+    counts = counts.transpose(0, 3, 1, 2).ravel()  # (table, stratum, x, y)
     nonzero = counts.nonzero()[0]
     o = counts[nonzero]  # int64 counts convert exactly inside the float ops
-    nat = float((o * np.log(o / expected[nonzero])).sum())
-    # Per-stratum values with nonzero marginals; one clip zeroes empty strata.
-    dof = int(np.maximum((rows > 0).sum(0) - 1, 0) @ ((cols > 0).sum(0) - 1))
-    return max(nat, 0.0), dof
+    terms = o * np.log(o / expected.ravel()[nonzero])
+    ends = [len(o)] if len(rows) == 1 else nonzero.searchsorted(
+        np.arange(1, len(rows) + 1) * (counts.size // len(rows))).tolist()
+    # Per-stratum levels with nonzero marginals; one clip zeroes empty strata.
+    lx, ly = (np.add.reduce(np.minimum(m, 1), 1) for m in (rows, cols))
+    dofs = np.vecdot(np.maximum(lx - 1, 0), ly - 1).tolist()
+    return [(max(float(np.add.reduce(terms[start:end])), 0.0), dof)
+            for start, end, dof in zip([0] + ends, ends, dofs)]
 
 
 def _result_from_kernel(nat: float, dof: int, n_rows: int,
@@ -211,6 +217,16 @@ def _composite(words: np.ndarray, offsets: np.ndarray,
     return head
 
 
+def _z_count(ds: Dataset, rows: np.ndarray, zt: tuple) -> np.ndarray:
+    """AND-popcounts of plane ``rows`` by the strata of nonempty sorted
+    ``zt``, whose planes its memo entry keeps."""
+    entry = _memo_entry(ds, zt)
+    if "planes" not in entry:
+        entry["planes"] = _composite(*_planes(ds)[:2], zt)
+        entry["planes"].setflags(write=False)
+    return _and_count(rows[:, None], entry["planes"])
+
+
 def _plane_table(ds: Dataset, xt: tuple, yt: tuple, zt: tuple) -> np.ndarray:
     """Bit-plane counts of ``xt``'s states by ``yt``'s with no z, else of the
     fold of ``xt + yt`` (rows) in each stratum of sorted ``zt`` (columns)."""
@@ -218,16 +234,40 @@ def _plane_table(ds: Dataset, xt: tuple, yt: tuple, zt: tuple) -> np.ndarray:
     if not zt:
         return _and_count(_composite(words, offsets, xt)[:, None],
                           _composite(words, offsets, yt))
+    return _z_count(ds, _composite(words, offsets, xt + yt), zt)
+
+
+def _on_planes(ds: Dataset, cells: int) -> bool:
+    """Whether the planes count a table of ``cells``: cells × words ≤ rows."""
+    return (cells * -(-ds.n_rows // 64) <= min(ds.n_rows, _MAX_TABLE_CELLS)
+            and _planes(ds) is not None)
+
+
+def prefetch(ds: Dataset, tests, zt: tuple[VariableId, ...]) -> None:
+    """Count and score the sorted ``(xt, yt)`` pairs of ``tests`` that the
+    planes count under nonempty sorted ``zt``: per table shape (and chunk),
+    one AND-popcount and one :func:`_nat_tables` call. Each (nat, dof) waits
+    in z's memo entry, under ``(xt, yt)``, for :func:`_nat` to take it."""
     entry = _memo_entry(ds, zt)
-    if "planes" not in entry:
-        entry["planes"] = _composite(words, offsets, zt)
-        entry["planes"].setflags(write=False)
-    return _and_count(_composite(words, offsets, xt + yt)[:, None],
-                      entry["planes"])
+    n_states = entry["n_states"]
+    groups: dict = {}
+    for xt, yt in tests:
+        rx, ry = math.prod(map(ds.arity, xt)), math.prod(map(ds.arity, yt))
+        if _on_planes(ds, rx * ry * n_states):
+            groups.setdefault((rx, ry), []).append((xt, yt))
+    for (rx, ry), members in groups.items():
+        words, offsets = _planes(ds)[:2]
+        step = max(1, _BATCH_WORDS // (rx * ry * n_states * words.shape[1]))
+        for i in range(0, len(members), step):
+            chunk = members[i:i + step]
+            counts = _z_count(ds, np.concatenate(
+                [_composite(words, offsets, xt + yt) for xt, yt in chunk]), zt)
+            entry.update(zip(chunk, _nat_tables(
+                counts.reshape(len(chunk), rx, ry, n_states))))
 
 
 def _marginal(ds: Dataset, x: VariableId, y: VariableId) -> tuple[float, int]:
-    """:func:`_nat_table`'s (nat, dof) for ``x ⊥ y`` with no conditioning z.
+    """:func:`_nat_tables`' (nat, dof) for ``x ⊥ y`` with no conditioning z.
 
     The row of u = min(x, y) holds the terms of u against every later
     variable, NaN where a count is 0. A test sums its block's other terms,
@@ -267,18 +307,18 @@ def _validate_sets(xs, ys, z) -> tuple[tuple, tuple, tuple]:
 
 def _nat(ds: Dataset, xt: tuple, yt: tuple, zt: tuple,
          capped: bool) -> tuple[float, int] | None:
-    """:func:`_nat_table`'s (nat, dof) for sorted ``xt ⊥ yt | zt``, or None
-    past _MAX_TABLE_CELLS or, if ``capped``, past MAX_CELLS_PER_STRATUM.
-    The planes serve a table whose popcount reads no more words than the
-    kernel reads rows (and than _MAX_TABLE_CELLS); the kernel the rest."""
+    """:func:`_nat_tables`' (nat, dof) for sorted ``xt ⊥ yt | zt``, or None
+    past _MAX_TABLE_CELLS or, if ``capped``, past MAX_CELLS_PER_STRATUM. A
+    :func:`prefetch` result comes first, then the planes, then the kernel."""
     if not zt and len(xt) == len(yt) == 1 and _planes(ds) is not None:
         return _marginal(ds, xt[0], yt[0])
+    entry = _memo_entry(ds, zt)
+    if (xt, yt) in entry:  # left by prefetch
+        return entry.pop((xt, yt))
     rx, ry = math.prod(map(ds.arity, xt)), math.prod(map(ds.arity, yt))
-    n_states = _memo_entry(ds, zt)["n_states"]
-    if (rx * ry * n_states * -(-ds.n_rows // 64)
-            <= min(ds.n_rows, _MAX_TABLE_CELLS) and _planes(ds) is not None):
-        return _nat_table(_plane_table(ds, xt, yt, zt).reshape(
-            rx, ry, n_states))
+    if _on_planes(ds, rx * ry * entry["n_states"]):
+        return _nat_tables(_plane_table(ds, xt, yt, zt).reshape(
+            1, rx, ry, entry["n_states"]))[0]
     xcode, rx = _fold(ds, xt)
     ycode, ry = _fold(ds, yt)
     if capped and len(xt + yt) > 2 and rx * ry > MAX_CELLS_PER_STRATUM:

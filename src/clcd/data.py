@@ -24,7 +24,8 @@ class Dataset:
     ``is_label`` marks target columns; everything else is a feature.
     The arrays are the dataset's own read-only copies, so what ``citest``
     derives from them never goes stale. ``_memo`` keeps the last conditioning
-    set's fold, compaction and ANDed bit planes, each built on first need.
+    set's fold, compaction and ANDed bit planes, each built on first need,
+    and the (nat, dof) results ``citest.prefetch`` counted until taken.
     ``_marginal`` keeps every column's bit planes and each tested variable's
     marginal row, never replaced. All are read-only and die with the dataset.
     ``codes`` is kept without a copy only when it is already a read-only,

@@ -91,7 +91,7 @@ def phase2_retrieve(tester: CiTester, ds: Dataset, labels, structures: dict,
 
 def _phase2_admits(tester, z, t_i, t_j, st, cfg) -> bool:
     # a singleton's two marginal tests repeat the pool prefilter: cache hits
-    if not equivalent_info(tester, z, (t_i,), (t_j,)):
+    if not equivalent_info(tester, z, [(t_i,)], (t_j,)):
         return False
     # no retained-PC subset may already shield Z from t_j
     for s in subsets(sorted(st.pc - {t_i}), cfg.max_cond_size):

@@ -3,6 +3,7 @@
 Two disjoint sets S and Z are information-equivalent for a set X when each
 is dependent on X yet screens the other off: X ⊥ S | Z and X ⊥ Z | S. Phase 3
 runs this check with one variable as X, phase 2 with two labels as S and Z.
+Phase 3 checks all PC subsets S against one Z at once: X ⊥ S | Z is a batch.
 """
 
 from __future__ import annotations
@@ -34,18 +35,19 @@ class EquivalencePair:
             raise ValueError("target cannot appear on either side")
 
 
-def equivalent_info(tester: CiTester, xs, s, z) -> bool:
-    """True iff s and z are information-equivalent for the set xs.
+def equivalent_info(tester: CiTester, xs, sides, z) -> list:
+    """The sides s, in order, that are information-equivalent to z for xs.
 
-    Checks, in order: xs ⊥̸ s, xs ⊥̸ z, xs ⊥ s | z, xs ⊥ z | s. All four are
-    set tests on the tester; xs, s and z must be nonempty and disjoint.
+    Checks xs ⊥̸ s for every side, then xs ⊥̸ z if a side is left, then
+    xs ⊥ s | z for those left in one ``set_ci_many`` batch, then xs ⊥ z | s.
+    xs, z and each side must be nonempty and disjoint.
     """
-    if tester.set_independent(xs, s, ()):
-        return False
-    if tester.set_independent(xs, z, ()):
-        return False
-    return (tester.set_independent(xs, s, z)
-            and tester.set_independent(xs, z, s))
+    sides = [s for s in sides if not tester.set_independent(xs, s, ())]
+    if not sides or tester.set_independent(xs, z, ()):
+        return []
+    screened = tester.set_ci_many(xs, sides, z)
+    return [s for s, r in zip(sides, screened)
+            if r.independent and tester.set_independent(xs, z, s)]
 
 
 def contains_equivalent_info(tester: CiTester, target: VariableId,
@@ -61,7 +63,7 @@ def contains_equivalent_info(tester: CiTester, target: VariableId,
         raise ValueError("both sides must be nonempty")
     if s & z or target in s | z:
         raise ValueError("target, s and z must not overlap")
-    return equivalent_info(tester, (target,), s, z)
+    return bool(equivalent_info(tester, (target,), [s], z))
 
 
 def find_equivalences(tester: CiTester, x: VariableId, pc_x, candidates,
@@ -80,13 +82,12 @@ def find_equivalences(tester: CiTester, x: VariableId, pc_x, candidates,
     # prefilter: variables marginally independent of x can never appear in Z
     pool = [c for c in pool if not tester.independent(c, x, ())]
 
+    sides = list(subsets(pc, max_z))
     found = []
     for z in subsets(pool, max_z):
         if len(z) > 1 and tester.set_independent((x,), z, ()):
             continue
         # the sides are disjoint by construction: s from pc, z from outside
-        for s in subsets(pc, max_z):
-            if equivalent_info(tester, (x,), s, z):
-                found.append(EquivalencePair(
-                    target=x, s=frozenset(s), z=frozenset(z)))
+        found += [EquivalencePair(target=x, s=frozenset(s), z=frozenset(z))
+                  for s in equivalent_info(tester, (x,), sides, z)]
     return found

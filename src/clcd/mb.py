@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
-from .citest import CiConfig, CiResult, g2_test, set_ci
+from .citest import CiConfig, CiResult, g2_test, prefetch, set_ci
 from .data import Dataset, VariableId
 
 
@@ -23,6 +23,10 @@ class CiTester(Protocol):
 
     def ci(self, x: VariableId, y: VariableId, z=()) -> CiResult: ...
     def set_ci(self, xs, ys, z=()) -> CiResult: ...
+
+    def set_ci_many(self, xs, ys_list, z=()) -> list:
+        """``set_ci(xs, ys, z)`` for each ``ys`` of ``ys_list``, in order."""
+        return [self.set_ci(xs, ys, z) for ys in ys_list]
 
     def independent(self, x: VariableId, y: VariableId, z=()) -> bool:
         return self.ci(x, y, z).independent
@@ -37,6 +41,7 @@ class G2Tester(CiTester):
     ``ci`` and ``set_ci`` share one cache. Keys are the sorted sides, swapped
     into order, plus the sorted conditioning set, so x,y and y,x collapse and
     ``ci(x, y, z)`` and ``set_ci([y], [x], z)`` cost one test between them.
+    ``set_ci_many`` prefetches its new keys under one z, then asks ``set_ci``.
     """
 
     def __init__(self, ds: Dataset, cfg: CiConfig):
@@ -49,24 +54,30 @@ class G2Tester(CiTester):
         if x > y:
             x, y = y, x
         key = ((x,), (y,), tuple(sorted(z)))
-        result = self._cache.get(key)
-        if result is None:
-            result = g2_test(self.ds, x, y, key[2], self.cfg)
-            self._cache[key] = result
+        if key not in self._cache:
+            self._cache[key] = g2_test(self.ds, x, y, key[2], self.cfg)
             self.n_tests += 1
-        return result
+        return self._cache[key]
 
     def set_ci(self, xs, ys, z=()) -> CiResult:
-        a, b = tuple(sorted(xs)), tuple(sorted(ys))
-        if a > b:
-            a, b = b, a
-        key = (a, b, tuple(sorted(z)))
-        result = self._cache.get(key)
-        if result is None:
-            result = set_ci(self.ds, a, b, key[2], self.cfg)
-            self._cache[key] = result
+        key = _set_key(xs, ys, z)
+        if key not in self._cache:
+            self._cache[key] = set_ci(self.ds, *key, self.cfg)
             self.n_tests += 1
-        return result
+        return self._cache[key]
+
+    def set_ci_many(self, xs, ys_list, z=()) -> list:
+        keys = [_set_key(xs, ys, z) for ys in ys_list]
+        todo = dict.fromkeys(k[:2] for k in keys if k not in self._cache)
+        if len(todo) > 1 and keys[0][2]:
+            prefetch(self.ds, todo, keys[0][2])
+        return [self.set_ci(*key) for key in keys]
+
+
+def _set_key(xs, ys, z) -> tuple:
+    """The sorted sides, swapped into order, and the sorted z."""
+    a, b = tuple(sorted(xs)), tuple(sorted(ys))
+    return (a, b, tuple(sorted(z))) if a <= b else (b, a, tuple(sorted(z)))
 
 
 @dataclass
@@ -91,10 +102,7 @@ class LocalStructure:
 
     @property
     def spouse_children(self) -> set:
-        out: set = set()
-        for children in self.spouses.values():
-            out |= children
-        return out
+        return set().union(*self.spouses.values())
 
     def clone(self) -> "LocalStructure":
         return LocalStructure(

@@ -727,3 +727,81 @@ def test_plane_memo_warm_matches_cold_for_sets_of_one_size():
         assert res == g2_test(_cold(ds), 0, 1, z)
         results.append(res)
     assert len({r.statistic for r in results}) == 6  # one per distinct set
+
+
+def _nat_table_reference(counts):
+    """The one-table scorer that ``_nat_tables`` replaced, kept as its
+    oracle: margins, expected counts and one sum over one 3-D table."""
+    rows = counts.sum(axis=1)
+    cols = counts.sum(axis=0)
+    totals = rows.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = (rows[:, None] * cols / totals).transpose(2, 0, 1).ravel()
+    counts = counts.transpose(2, 0, 1).ravel()
+    nonzero = counts.nonzero()[0]
+    o = counts[nonzero]
+    nat = float((o * np.log(o / expected[nonzero])).sum())
+    dof = int(np.maximum((rows > 0).sum(0) - 1, 0) @ ((cols > 0).sum(0) - 1))
+    return max(nat, 0.0), dof
+
+
+@st.composite
+def _table_stacks(draw):
+    # 1-8 tables of one shape, from a single cell up to 4 x 4 x 40; sparse
+    # counts, and rows, columns or strata emptied in some of the tables.
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 4)),
+             draw(st.integers(1, 4)), draw(st.integers(1, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(0, draw(st.sampled_from([2, 9, 1000])), shape)
+    counts[rng.random(shape) < draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))] = 0
+    for axis in (1, 2, 3):
+        if draw(st.booleans()):
+            index = [rng.random(shape[0]) < 0.5, slice(None), slice(None),
+                     slice(None)]
+            index[axis] = rng.integers(shape[axis])
+            counts[tuple(index)] = 0
+    return counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_stacks())
+def test_nat_tables_score_each_table_as_if_alone(counts):
+    got = citest._nat_tables(counts)
+    assert got == [_nat_table_reference(table) for table in counts]
+    assert got == [citest._nat_tables(table[None])[0] for table in counts]
+
+
+def test_prefetched_result_is_read_by_its_own_test_only():
+    # A result waits under its conditioning set and its orientation: a test
+    # under another z, or with the sides swapped, counts afresh, and the
+    # test itself takes the result out of the memo.
+    rng = np.random.default_rng(5)
+    ds = build_dataset({f"v{i}": rng.integers(0, 2, 400) for i in range(7)})
+    a, b = (0,), (1, 2)
+    cases = [(a, b, (3, 4)), (a, b, (3, 5)), (b, a, (3, 4))]
+    refs = [set_ci(_cold(ds), *case) for case in cases]
+    assert len({r.statistic for r in refs}) == 3  # a misread would show
+    citest.prefetch(ds, [(a, b)], (3, 4))
+    assert (a, b) in ds._memo[(3, 4)]
+    assert set_ci(ds, *cases[1]) == refs[1]
+    citest.prefetch(ds, [(a, b)], (3, 4))
+    assert set_ci(ds, *cases[2]) == refs[2]
+    assert set_ci(ds, *cases[0]) == refs[0]
+    assert all(isinstance(key, str) for key in ds._memo[(3, 4)])
+
+
+@pytest.mark.parametrize("batch_words", [1, 250, citest._BATCH_WORDS])
+def test_prefetch_in_chunks_answers_like_lone_tests(monkeypatch, batch_words):
+    # 400 rows are 7 words a plane, so under a 4-state z a (2, 2) member
+    # ANDs 112 words and a (2, 4) or (4, 2) one 224: chunks of one member,
+    # of two with a remainder, or each shape's whole stack.
+    rng = np.random.default_rng(8)
+    ds = build_dataset({f"v{i}": rng.integers(0, 2, 400) for i in range(9)})
+    zt = (7, 8)
+    tests = [((0,), (v,)) for v in range(1, 6)]
+    tests += [((0,), (1, 2)), ((3, 4), (5,)), ((1, 6), (2,))]
+    refs = [set_ci(_cold(ds), *test, zt) for test in tests]
+    monkeypatch.setattr(citest, "_BATCH_WORDS", batch_words)
+    citest.prefetch(ds, tests, zt)
+    assert all(test in ds._memo[zt] for test in tests)
+    assert [set_ci(ds, *test, zt) for test in tests] == refs

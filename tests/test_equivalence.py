@@ -1,16 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clcd.citest import CiConfig
+from clcd.cli import discovery_doc, selection_doc
 from clcd.data import Dataset
+from clcd.discovery import clcd
 from clcd.equivalence import (
     EquivalencePair,
     contains_equivalent_info,
     find_equivalences,
 )
-from clcd.mb import G2Tester, hiton_pc
+from clcd.mb import CiTester, G2Tester, hiton_pc
+from clcd.selection import clcd_fs
 from clcd.synth import (BayesNet, GenConfig, generate, inject_equivalence,
                         sample)
 from conftest import bsc, build_dataset, is_relabelling_cpt
@@ -194,3 +199,30 @@ def test_injected_duplicate_of_pc_member_pairs_with_it(seed):
                                   range(dup.n_vars))
         assert [(p.s, p.z) for p in found if ds.n_vars in p.z] == [
             (frozenset({m}), frozenset({ds.n_vars}))]
+
+
+class _LoopingTester(G2Tester):
+    """A G2Tester that answers batches through ``set_ci`` alone."""
+
+    set_ci_many = CiTester.set_ci_many
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_batched_pipeline_equals_looping_tester(seed):
+    # clcd_fs at max_z=2 and clcd at max_z=1, each on its own cold copy of
+    # the data: the batched tester's equivalence records, documents and
+    # distinct test count equal those of a tester with no batching.
+    net, _ = generate(GenConfig(n_labels=3, n_features=24, n_samples=1500,
+                                p_c=0.5, p_m=0.5, seed=seed))
+    ds = sample(net, 1500, seed=seed)
+    runs = [(clcd_fs, 2, selection_doc),
+            (clcd, 1, lambda out, data: discovery_doc(out, data.names))]
+    for run, max_z, doc in runs:
+        seen = []
+        for cls in (G2Tester, _LoopingTester):
+            data = dataclasses.replace(ds)
+            tester = cls(data, CiConfig())
+            out = run(data, max_z=max_z, tester=tester)
+            seen.append((out.ei, doc(out, data), tester.n_tests))
+        assert seen[0] == seen[1]
+        assert sum(map(len, seen[0][0].values())) > 0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
+from clcd import citest
 from clcd.citest import CiConfig, CiResult
 from clcd.mb import (CiTester, G2Tester, LocalStructure, hiton_mb,
                      hiton_pc, iamb, subsets)
 from clcd.synth import (DsepTester, GenConfig, generate, graphical_mb,
                         random_net, sample)
-from conftest import permute_rows
+from conftest import build_dataset, permute_rows
 
 
 def _scope(net, target):
@@ -204,6 +206,41 @@ def test_g2_tester_ci_and_set_ci_share_cache():
     assert reverse.n_tests == 1
     assert reverse.ci(0, 1, (2,)) == r
     assert reverse.n_tests == 1
+
+
+def test_set_ci_many_equals_set_ci_one_by_one(monkeypatch):
+    # x = v3 against sides on both orientations, duplicates, one side the
+    # tester answered before and one past the planes' size rule (4-level
+    # w); each answer equals a lone set_ci on a cold copy, and the batch
+    # counts each distinct test once and leaves no result in the memo.
+    rng = np.random.default_rng(4)
+    cols = {f"v{i}": rng.integers(0, 2, 400) for i in range(8)}
+    cols["w"] = rng.integers(0, 4, 400)
+    ds = build_dataset(cols)
+    sides = [(0,), (1, 2), (5,), (2, 1), (4, 8), (2, 4), (0,)]
+    stacks = []
+    nat_tables = citest._nat_tables
+    monkeypatch.setattr(citest, "_nat_tables",
+                        lambda c: stacks.append(len(c)) or nat_tables(c))
+    for z in [(6, 7), (7,), ()]:
+        batched = G2Tester(ds, CiConfig())
+        alone = G2Tester(dataclasses.replace(ds), CiConfig())
+        for tester in (batched, alone):
+            tester.set_ci((3,), (5,), z)
+        assert (batched.set_ci_many((3,), sides, z)
+                == [alone.set_ci((3,), s, z) for s in sides])
+        assert batched.n_tests == alone.n_tests == 5
+        assert all(isinstance(k, str) for k in ds._memo[tuple(sorted(z))])
+    assert max(stacks) == 2  # (1, 2) and (2, 4) shared one stack
+
+
+def test_dsep_tester_set_ci_many_loops_set_ci(chain_net):
+    tester = DsepTester(chain_net)
+    sides = [(0,), (2,), (0, 2)]
+    assert (tester.set_ci_many((1,), sides, ())
+            == [tester.set_ci((1,), s, ()) for s in sides])
+    assert (tester.set_ci_many((0,), [(2,)], (1,))
+            == [tester.set_ci((0,), (2,), (1,))])
 
 
 def test_row_permutation_leaves_boundaries_identical():
