@@ -7,16 +7,16 @@ the same test, and :func:`cond_mutual_information` reads the same sum, so
 ``G² = 2 n ln(2) I(X;Y|Z)`` holds to floating-point rounding by construction.
 
 A table whose cells times the words of one bit plane fit in the rows is
-AND-popcounted from the planes (one per variable and level; a set of several
-variables ANDs its members' planes in :func:`_fold`'s order). Any other table
-is built in O(n) by one ``np.bincount`` of mixed-radix codes
-(:func:`_nat_kernel`), its strata first compacted to the observed ones, in
-code order, when it has more cells than the data has rows. Cells are read back
-in (stratum, x, y) order and empty strata add nothing, so both counters give
-identical bits. The marginal table (x ⊥ y, single variables, no z) keeps one
-row of O·ln(O/E) terms per variable u against every later variable, made by
-:func:`_nat_tables`' own int64 product, true division and ufuncs; a test sums
-its block in (x, y) order. The dataset keeps the last conditioning set's
+counted by :func:`_plane_counts`, the one plane counter: it AND-popcounts the
+stacked planes (one per variable and level; a set of several variables ANDs
+its members' planes in :func:`_fold`'s order) of one or more sides against
+those of the fold of a common side and z. A lone test counts one side;
+:func:`prefetch` counts a batch's sides at once, under any z, the empty one
+too. Any other table is built in O(n) by one ``np.bincount`` of mixed-radix
+codes (:func:`_nat_kernel`), its strata first compacted to the observed
+ones, in code order, when it has more cells than the data has rows. Cells
+are read back in (stratum, x, y) order and empty strata add nothing, so both
+counters give identical bits. The dataset keeps the last conditioning set's
 fold, compaction and planes, so tests under one set build each once, and
 the results :func:`prefetch` counted ahead under it, one stack per table
 shape with each table still summed alone, until their tests take them.
@@ -40,7 +40,7 @@ MAX_CELLS_PER_STRATUM = 4096
 
 # Hard cap on the whole (strata x cells) work array. Tests large enough to
 # trip it could never be reliable at the sample sizes this library targets.
-# The marginal table's bit planes and rows are held to it too.
+# The bit planes are held to it too.
 _MAX_TABLE_CELLS = 1 << 26
 _BATCH_WORDS = 1 << 17  # ANDed plane words per prefetch chunk (1 MiB)
 
@@ -178,32 +178,22 @@ def _strata(ds: Dataset, zt: tuple[VariableId, ...],
 
 
 def _planes(ds: Dataset) -> tuple | None:
-    """(words, offsets, margins, observed): bit plane ``codes[v] == k`` packed
-    into uint64 row ``offsets[v] + k`` of ``words``, its count, and v's levels
-    that occur. None when the planes or rows could pass _MAX_TABLE_CELLS."""
-    if None not in ds._marginal:
+    """(words, offsets): bit plane ``codes[v] == k`` packed into uint64 row
+    ``offsets[v] + k`` of ``words``. None when they pass _MAX_TABLE_CELLS."""
+    if not ds._planes:
         offsets = np.concatenate(([0], np.cumsum(ds.arities)))
         levels, n_words = int(offsets[-1]), -(-ds.n_rows // 64)
         entry = None
-        if levels * max(n_words, levels) <= _MAX_TABLE_CELLS:
+        if levels * n_words <= _MAX_TABLE_CELLS:
             planes = np.zeros((levels, 8 * n_words), dtype=np.uint8)
             for v, a in enumerate(ds.arities):
                 planes[offsets[v]:offsets[v + 1], :(ds.n_rows + 7) // 8] = \
                     np.packbits(ds.codes[v] == np.arange(a)[:, None], axis=1)
-            words = planes.view(np.uint64)
-            margins = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-            observed = np.add.reduceat(margins > 0, offsets[:-1],
-                                       dtype=np.int64)
-            entry = words, offsets, margins, observed
+            entry = planes.view(np.uint64), offsets
             for arr in entry:
                 arr.setflags(write=False)
-        ds._marginal[None] = entry
-    return ds._marginal[None]
-
-
-def _and_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Set bits of ``a & b`` (broadcast) over the last axis, as int64."""
-    return np.bitwise_count(a & b).sum(axis=-1, dtype=np.int64)
+        ds._planes.append(entry)
+    return ds._planes[0]
 
 
 def _composite(words: np.ndarray, offsets: np.ndarray,
@@ -217,24 +207,23 @@ def _composite(words: np.ndarray, offsets: np.ndarray,
     return head
 
 
-def _z_count(ds: Dataset, rows: np.ndarray, zt: tuple) -> np.ndarray:
-    """AND-popcounts of plane ``rows`` by the strata of nonempty sorted
-    ``zt``, whose planes its memo entry keeps."""
-    entry = _memo_entry(ds, zt)
-    if "planes" not in entry:
-        entry["planes"] = _composite(*_planes(ds)[:2], zt)
-        entry["planes"].setflags(write=False)
-    return _and_count(rows[:, None], entry["planes"])
-
-
-def _plane_table(ds: Dataset, xt: tuple, yt: tuple, zt: tuple) -> np.ndarray:
-    """Bit-plane counts of ``xt``'s states by ``yt``'s with no z, else of the
-    fold of ``xt + yt`` (rows) in each stratum of sorted ``zt`` (columns)."""
-    words, offsets = _planes(ds)[:2]
-    if not zt:
-        return _and_count(_composite(words, offsets, xt)[:, None],
-                          _composite(words, offsets, yt))
-    return _z_count(ds, _composite(words, offsets, xt + yt), zt)
+def _plane_counts(ds: Dataset, xt: tuple, sides: list,
+                  zt: tuple) -> np.ndarray:
+    """AND-popcounts of the stacked planes of ``sides``' states (rows) by the
+    states of the fold of ``xt + zt`` (columns), for sorted ``zt``: side s
+    holds a ``(r_s, r_x, n_strata)`` table. z's planes stay in its memo
+    entry."""
+    words, offsets = _planes(ds)
+    head = _composite(words, offsets, xt)
+    if zt:
+        entry = _memo_entry(ds, zt)
+        if "planes" not in entry:
+            entry["planes"] = _composite(words, offsets, zt)
+            entry["planes"].setflags(write=False)
+        head = (head[:, None] & entry["planes"]).reshape(-1, words.shape[1])
+    stack = [_composite(words, offsets, s) for s in sides]
+    rows = np.concatenate(stack) if len(stack) > 1 else stack[0]
+    return np.bitwise_count(rows[:, None] & head).sum(axis=-1, dtype=np.int64)
 
 
 def _on_planes(ds: Dataset, cells: int) -> bool:
@@ -243,54 +232,34 @@ def _on_planes(ds: Dataset, cells: int) -> bool:
             and _planes(ds) is not None)
 
 
-def prefetch(ds: Dataset, tests, zt: tuple[VariableId, ...]) -> None:
-    """Count and score the sorted ``(xt, yt)`` pairs of ``tests`` that the
-    planes count under nonempty sorted ``zt``: per table shape (and chunk),
-    one AND-popcount and one :func:`_nat_tables` call. Each (nat, dof) waits
-    in z's memo entry, under ``(xt, yt)``, for :func:`_nat` to take it."""
+def prefetch(ds: Dataset, xt: tuple, sides, zt: tuple) -> None:
+    """Count and score ``xt ⊥ s | zt`` for the sorted ``sides`` s that the
+    planes count, z sorted and maybe empty: per table shape (and chunk), one
+    AND-popcount and one :func:`_nat_tables` call, each table in the order
+    ``(min(xt, s), max(xt, s))``. Each (nat, dof) waits in z's memo entry,
+    under that pair, for :func:`_nat` to take it."""
     entry = _memo_entry(ds, zt)
     n_states = entry["n_states"]
+    rx = math.prod(map(ds.arity, xt))
     groups: dict = {}
-    for xt, yt in tests:
-        rx, ry = math.prod(map(ds.arity, xt)), math.prod(map(ds.arity, yt))
-        if _on_planes(ds, rx * ry * n_states):
-            groups.setdefault((rx, ry), []).append((xt, yt))
-    for (rx, ry), members in groups.items():
-        words, offsets = _planes(ds)[:2]
-        step = max(1, _BATCH_WORDS // (rx * ry * n_states * words.shape[1]))
+    for s in sides:  # a square table takes either orientation in one stack
+        rs = math.prod(map(ds.arity, s))
+        groups.setdefault((rs, rs == rx or s < xt), []).append(s)
+    head_words = rx * n_states * -(-ds.n_rows // 64)
+    for (rs, _), members in groups.items():
+        if not _on_planes(ds, rx * rs * n_states):
+            continue
+        step = max(1, _BATCH_WORDS // (rs * head_words))
         for i in range(0, len(members), step):
             chunk = members[i:i + step]
-            counts = _z_count(ds, np.concatenate(
-                [_composite(words, offsets, xt + yt) for xt, yt in chunk]), zt)
-            entry.update(zip(chunk, _nat_tables(
-                counts.reshape(len(chunk), rx, ry, n_states))))
-
-
-def _marginal(ds: Dataset, x: VariableId, y: VariableId) -> tuple[float, int]:
-    """:func:`_nat_tables`' (nat, dof) for ``x ⊥ y`` with no conditioning z.
-
-    The row of u = min(x, y) holds the terms of u against every later
-    variable, NaN where a count is 0. A test sums its block's other terms,
-    transposed into (x, y) order when x > y.
-    """
-    words, offsets, margins, observed = ds._marginal[None]
-    u, w = min(x, y), max(x, y)
-    lo, hi = offsets[u], offsets[u + 1]
-    row = ds._marginal.get(u)
-    if row is None:
-        counts = np.array([_and_count(words[k], words[hi:])
-                           for k in range(lo, hi)])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            row = counts * np.log(
-                counts / (margins[lo:hi, None] * margins[hi:] / ds.n_rows))
-        row.setflags(write=False)
-        ds._marginal[u] = row
-    terms = row[:, offsets[w] - hi:offsets[w + 1] - hi]
-    if x > y:
-        terms = terms.T
-    nat = float(terms[~np.isnan(terms)].sum())
-    dof = max(int(observed[x]) - 1, 0) * (int(observed[y]) - 1)
-    return max(nat, 0.0), dof
+            counts = _plane_counts(ds, xt, chunk, zt).reshape(
+                len(chunk), rs, rx, n_states)
+            flip = np.array([xt < s for s in chunk])[:, None, None, None]
+            if flip.any():  # those tables into (xt, s) order
+                counts = (np.where(flip, counts.swapaxes(1, 2), counts)
+                          if rs == rx else counts.swapaxes(1, 2))
+            entry.update(zip([(xt, s) if xt < s else (s, xt) for s in chunk],
+                             _nat_tables(counts)))
 
 
 def _validate_sets(xs, ys, z) -> tuple[tuple, tuple, tuple]:
@@ -310,14 +279,12 @@ def _nat(ds: Dataset, xt: tuple, yt: tuple, zt: tuple,
     """:func:`_nat_tables`' (nat, dof) for sorted ``xt ⊥ yt | zt``, or None
     past _MAX_TABLE_CELLS or, if ``capped``, past MAX_CELLS_PER_STRATUM. A
     :func:`prefetch` result comes first, then the planes, then the kernel."""
-    if not zt and len(xt) == len(yt) == 1 and _planes(ds) is not None:
-        return _marginal(ds, xt[0], yt[0])
     entry = _memo_entry(ds, zt)
     if (xt, yt) in entry:  # left by prefetch
         return entry.pop((xt, yt))
     rx, ry = math.prod(map(ds.arity, xt)), math.prod(map(ds.arity, yt))
     if _on_planes(ds, rx * ry * entry["n_states"]):
-        return _nat_tables(_plane_table(ds, xt, yt, zt).reshape(
+        return _nat_tables(_plane_counts(ds, yt, [xt], zt).reshape(
             1, rx, ry, entry["n_states"]))[0]
     xcode, rx = _fold(ds, xt)
     ycode, ry = _fold(ds, yt)

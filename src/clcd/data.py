@@ -26,8 +26,8 @@ class Dataset:
     derives from them never goes stale. ``_memo`` keeps the last conditioning
     set's fold, compaction and ANDed bit planes, each built on first need,
     and the (nat, dof) results ``citest.prefetch`` counted until taken.
-    ``_marginal`` keeps every column's bit planes and each tested variable's
-    marginal row, never replaced. All are read-only and die with the dataset.
+    ``_planes`` holds every column's bit planes once first built, never
+    replaced. All are read-only and die with the dataset.
     ``codes`` is kept without a copy only when it is already a read-only,
     C-contiguous int64 array that owns its data, as the loaders and
     ``synth.sample`` hand it over. Equality is identity.
@@ -38,7 +38,7 @@ class Dataset:
     is_label: np.ndarray
     names: tuple[str, ...]
     _memo: dict = field(default_factory=dict, init=False, repr=False)
-    _marginal: dict = field(default_factory=dict, init=False, repr=False)
+    _planes: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self) -> None:
         codes = self.codes

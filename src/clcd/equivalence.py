@@ -80,7 +80,8 @@ def find_equivalences(tester: CiTester, x: VariableId, pc_x, candidates,
     pc = sorted(set(pc_x) - {x})
     pool = sorted(set(candidates) - set(pc) - {x})
     # prefilter: variables marginally independent of x can never appear in Z
-    pool = [c for c in pool if not tester.independent(c, x, ())]
+    pool = [c for c, r in zip(pool, tester.set_ci_many(
+        (x,), [(c,) for c in pool], ())) if not r.independent]
 
     sides = list(subsets(pc, max_z))
     found = []

@@ -41,7 +41,8 @@ class G2Tester(CiTester):
     ``ci`` and ``set_ci`` share one cache. Keys are the sorted sides, swapped
     into order, plus the sorted conditioning set, so x,y and y,x collapse and
     ``ci(x, y, z)`` and ``set_ci([y], [x], z)`` cost one test between them.
-    ``set_ci_many`` prefetches its new keys under one z, then asks ``set_ci``.
+    ``set_ci_many`` prefetches its new tests under their one z, the empty z
+    too, then answers each from the cache or, if new, through ``set_ci``.
     """
 
     def __init__(self, ds: Dataset, cfg: CiConfig):
@@ -67,11 +68,14 @@ class G2Tester(CiTester):
         return self._cache[key]
 
     def set_ci_many(self, xs, ys_list, z=()) -> list:
-        keys = [_set_key(xs, ys, z) for ys in ys_list]
-        todo = dict.fromkeys(k[:2] for k in keys if k not in self._cache)
-        if len(todo) > 1 and keys[0][2]:
-            prefetch(self.ds, todo, keys[0][2])
-        return [self.set_ci(*key) for key in keys]
+        xt, zt = tuple(sorted(xs)), tuple(sorted(z))
+        sides = [tuple(sorted(ys)) for ys in ys_list]
+        keys = [(s, xt, zt) if s < xt else (xt, s, zt) for s in sides]
+        todo = dict.fromkeys(s for s, k in zip(sides, keys)
+                             if k not in self._cache)
+        if len(todo) > 1:
+            prefetch(self.ds, xt, todo, zt)
+        return [self._cache.get(key) or self.set_ci(*key) for key in keys]
 
 
 def _set_key(xs, ys, z) -> tuple:
@@ -136,7 +140,8 @@ def hiton_pc(tester: CiTester, target: VariableId, candidates,
              cfg: CiConfig, symmetric: bool = False):
     """Parent/children search with interleaved backward conditioning.
 
-    Candidates enter in ascending order of marginal p-value (ties by id);
+    Candidates enter in ascending order of marginal p-value (ties by id),
+    ranked by one ``set_ci_many`` batch of their marginal tests;
     after each admission every current member is re-tested against subsets of
     the others (size <= max_cond_size) and removed when a separator appears.
     With ``symmetric=True`` each surviving X is additionally required to hold
@@ -148,8 +153,7 @@ def hiton_pc(tester: CiTester, target: VariableId, candidates,
     pool = sorted(set(candidates) - {target})
     sepsets: dict = {}
     ranked = []
-    for x in pool:
-        r = tester.ci(x, target, ())
+    for x, r in zip(pool, tester.set_ci_many((target,), [(x,) for x in pool])):
         if r.independent:
             sepsets[x] = frozenset()
         else:

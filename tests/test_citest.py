@@ -382,10 +382,8 @@ def _cold(ds):
 
 
 def _counter(ds, xs, ys, z):
-    """Which counter the size rule picks: the marginal table, the bit planes
-    (cells x words per plane <= rows) or the bincount kernel."""
-    if not z and len(xs) == len(ys) == 1:
-        return "marginal"
+    """Which counter the size rule picks: the bit planes (cells x words per
+    plane <= rows) or the bincount kernel."""
     cells = math.prod(ds.arity(v) for v in (*xs, *ys, *z))
     return "planes" if cells * -(-ds.n_rows // 64) <= ds.n_rows else "kernel"
 
@@ -393,8 +391,7 @@ def _counter(ds, xs, ys, z):
 def _spy_counters(mp):
     """Count the calls that reach each counter."""
     seen = Counter()
-    for name, label in (("_marginal", "marginal"), ("_plane_table", "planes"),
-                        ("_nat_kernel", "kernel")):
+    for name, label in (("_plane_counts", "planes"), ("_nat_kernel", "kernel")):
         def spy(*args, _fn=getattr(citest, name), _label=label):
             seen[_label] += 1
             return _fn(*args)
@@ -556,12 +553,22 @@ def _marginal_tables(draw):
 @settings(max_examples=300, deadline=None)
 @given(_marginal_tables())
 def test_marginal_table_equals_kernel_for_every_ordered_pair(ds):
-    # Both orders of a pair read one row's block, one of them transposed.
+    # Both orders of a pair, alone and in one ranking batch per variable,
+    # equal the kernel; the planes count every ordered pair's table, as a
+    # lone side or stacked in the batch, cell for cell like the bincount.
     for x in range(ds.n_vars):
-        for y in range(ds.n_vars):
-            if x != y:
-                assert g2_test(ds, x, y) == _kernel_only(ds, (x,), (y,))[1]
-    assert ds._marginal[None] is not None
+        others = [y for y in range(ds.n_vars) if y != x]
+        batch = G2Tester(_cold(ds), CiConfig()).set_ci_many(
+            (x,), [(y,) for y in others])
+        stack = citest._plane_counts(ds, (x,), [(y,) for y in others], ())
+        ends = np.cumsum([ds.arity(y) for y in others])[:-1]
+        for y, res, rows in zip(others, batch, np.split(stack, ends)):
+            counts, ref = _kernel_only(ds, (x,), (y,))
+            assert g2_test(ds, x, y) == ref
+            assert res == _kernel_only(ds, *sorted([(x,), (y,)]))[1]
+            assert (rows.T == counts[:, :, 0]).all()
+            got = citest._plane_counts(ds, (y,), [(x,)], ())
+            assert (got.reshape(counts.shape) == counts).all()
 
 
 @settings(max_examples=200, deadline=None)
@@ -578,7 +585,7 @@ def test_marginal_table_warm_matches_cold_dataset(data):
 
 
 def test_marginal_table_is_per_dataset():
-    # Two datasets of one shape: each test reads its own dataset's rows.
+    # Two datasets of one shape: each test's planes are its own dataset's.
     rng = np.random.default_rng(12)
     a = build_dataset({f"v{i}": rng.integers(0, 3, 200) for i in range(4)})
     flip = rng.random((4, 200)) < 0.5
@@ -587,6 +594,7 @@ def test_marginal_table_is_per_dataset():
     results = []
     for ds in (a, b, a, b):
         for x, y in ((0, 1), (1, 0), (2, 3)):
+            assert _counter(ds, (x,), (y,), ()) == "planes"
             res = g2_test(ds, x, y)
             assert res == _kernel_only(ds, (x,), (y,))[1]
             g2, dof = _g2_by_counting(ds.codes[x], ds.codes[y], [()] * 200)
@@ -595,16 +603,17 @@ def test_marginal_table_is_per_dataset():
             results.append(res)
     assert results[:3] == results[6:9] and results[3:6] == results[9:]
     assert results[:3] != results[3:6]
-    assert a._marginal[0] is not b._marginal[0]
+    assert citest._planes(a)[0] is not citest._planes(b)[0]
 
 
 def test_marginal_table_arrays_are_read_only():
+    # A lone marginal test and a batch count from the same read-only planes.
     rng = np.random.default_rng(6)
     ds = build_dataset({f"v{i}": rng.integers(0, 3, 70) for i in range(4)})
     g2_test(ds, 2, 0)
-    g2_test(ds, 1, 3)
-    assert sorted(k for k in ds._marginal if k is not None) == [0, 1]
-    arrays = [*ds._marginal[None], ds._marginal[0], ds._marginal[1]]
+    G2Tester(ds, CiConfig()).set_ci_many((1,), [(0,), (3,)])
+    (arrays,) = ds._planes
+    assert len(arrays) == 2 and arrays[0].dtype == np.uint64
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -616,7 +625,7 @@ def test_dataset_with_marginal_table_is_freed():
     ds = build_dataset({f"v{i}": rng.integers(0, 2, 20) for i in range(5)},
                        arities=[2] * 5)
     g2_test(ds, 0, 1)
-    assert ds._marginal
+    assert ds._planes
     ref = weakref.ref(ds)
     del ds
     gc.collect()
@@ -663,20 +672,21 @@ def test_plane_tables_equal_kernel(case):
             if len(a) == len(b) == 1:
                 assert g2_test(ds, a[0], b[0], z) == ref
             if _counter(ds, a, b, zt) == "planes":
-                got = citest._plane_table(ds, a, b, zt)
+                got = citest._plane_counts(ds, b, [a], zt)
                 assert (got.reshape(counts.shape) == counts).all()
 
 
 def test_size_rule_picks_the_counter(monkeypatch):
     # 128 binary rows are 2 words per plane: 64 cells x 2 words = 128 rows
     # is the largest table the planes count, so x, y | 4 binary z takes the
-    # planes and | 5 z the kernel; composite sides spend the same cells.
+    # planes and | 5 z the kernel; a marginal test is a table like any
+    # other, and composite sides spend the same cells.
     rng = np.random.default_rng(3)
     ds = build_dataset({f"v{i}": rng.integers(0, 2, 128) for i in range(9)})
     cases = [((0,), (1,), ()), ((0,), (1,), (2,)), ((0,), (1,), (2, 3, 4, 5)),
              ((0, 1), (2,), (3, 4, 5)), ((0,), (1,), (2, 3, 4, 5, 6)),
              ((0, 1), (2, 3), (4, 5, 6))]
-    expected = ["marginal", "planes", "planes", "planes", "kernel", "kernel"]
+    expected = ["planes", "planes", "planes", "planes", "kernel", "kernel"]
     refs = [_kernel_only(ds, *case)[1] for case in cases]
     seen = _spy_counters(monkeypatch)
     for case, path, ref in zip(cases, expected, refs):
@@ -685,7 +695,7 @@ def test_size_rule_picks_the_counter(monkeypatch):
         assert set_ci(ds, *case) == ref
         assert seen - before == Counter([path])
     cond_mutual_information(ds, [0], [1], [2, 3])
-    assert seen == Counter(marginal=1, planes=4, kernel=2)
+    assert seen == Counter(planes=5, kernel=2)
 
 
 def test_plane_memo_is_one_read_only_entry():
@@ -772,36 +782,41 @@ def test_nat_tables_score_each_table_as_if_alone(counts):
 
 
 def test_prefetched_result_is_read_by_its_own_test_only():
-    # A result waits under its conditioning set and its orientation: a test
-    # under another z, or with the sides swapped, counts afresh, and the
-    # test itself takes the result out of the memo.
+    # A result waits under its conditioning set, the empty one too, and its
+    # orientation, whichever side was the batch's common one: a test under
+    # another z, or with the sides swapped, counts afresh, and the test
+    # itself takes the result out of the memo.
     rng = np.random.default_rng(5)
     ds = build_dataset({f"v{i}": rng.integers(0, 2, 400) for i in range(7)})
     a, b = (0,), (1, 2)
-    cases = [(a, b, (3, 4)), (a, b, (3, 5)), (b, a, (3, 4))]
-    refs = [set_ci(_cold(ds), *case) for case in cases]
-    assert len({r.statistic for r in refs}) == 3  # a misread would show
-    citest.prefetch(ds, [(a, b)], (3, 4))
-    assert (a, b) in ds._memo[(3, 4)]
-    assert set_ci(ds, *cases[1]) == refs[1]
-    citest.prefetch(ds, [(a, b)], (3, 4))
-    assert set_ci(ds, *cases[2]) == refs[2]
-    assert set_ci(ds, *cases[0]) == refs[0]
-    assert all(isinstance(key, str) for key in ds._memo[(3, 4)])
+    for common, side, z, other in ((a, b, (3, 4), (3, 5)), (b, a, (), (3,))):
+        cases = [(a, b, z), (a, b, other), (b, a, z)]
+        refs = [set_ci(_cold(ds), *case) for case in cases]
+        assert refs[0].statistic != refs[1].statistic  # a misread would show
+        citest.prefetch(ds, common, [side], z)
+        assert (a, b) in ds._memo[z]
+        assert set_ci(ds, *cases[1]) == refs[1]
+        citest.prefetch(ds, common, [side], z)
+        assert set_ci(ds, *cases[2]) == refs[2]
+        assert (a, b) in ds._memo[z]  # the swapped test left it waiting
+        assert set_ci(ds, *cases[0]) == refs[0]
+        assert all(isinstance(key, str) for key in ds._memo[z])
 
 
 @pytest.mark.parametrize("batch_words", [1, 250, citest._BATCH_WORDS])
 def test_prefetch_in_chunks_answers_like_lone_tests(monkeypatch, batch_words):
-    # 400 rows are 7 words a plane, so under a 4-state z a (2, 2) member
-    # ANDs 112 words and a (2, 4) or (4, 2) one 224: chunks of one member,
-    # of two with a remainder, or each shape's whole stack.
+    # 400 rows are 7 words a plane, so under a 4-state z a binary side of
+    # x = v3 ANDs 112 words and a 4-state one 224: chunks of one side, of
+    # two with a remainder, or each group's whole stack; the empty z ANDs a
+    # quarter as many. Sides fall before and after x in each test's order.
     rng = np.random.default_rng(8)
     ds = build_dataset({f"v{i}": rng.integers(0, 2, 400) for i in range(9)})
-    zt = (7, 8)
-    tests = [((0,), (v,)) for v in range(1, 6)]
-    tests += [((0,), (1, 2)), ((3, 4), (5,)), ((1, 6), (2,))]
-    refs = [set_ci(_cold(ds), *test, zt) for test in tests]
+    xt = (3,)
+    sides = [(0,), (1,), (2,), (4,), (5,), (1, 2), (4, 5), (0, 6)]
+    tests = [(s, xt) if s < xt else (xt, s) for s in sides]
     monkeypatch.setattr(citest, "_BATCH_WORDS", batch_words)
-    citest.prefetch(ds, tests, zt)
-    assert all(test in ds._memo[zt] for test in tests)
-    assert [set_ci(ds, *test, zt) for test in tests] == refs
+    for zt in ((7, 8), ()):
+        refs = [set_ci(_cold(ds), *test, zt) for test in tests]
+        citest.prefetch(ds, xt, sides, zt)
+        assert all(test in ds._memo[zt] for test in tests)
+        assert [set_ci(ds, *test, zt) for test in tests] == refs

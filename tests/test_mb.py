@@ -116,8 +116,9 @@ def test_bijective_copy_keeps_exactly_one(chain_net):
     assert pc_again == pc
 
 
-class _FakeTester:
-    """Scripted tester: judgments keyed on ({x, y}, conditioning set)."""
+class _FakeTester(CiTester):
+    """Scripted tester: judgments keyed on ({x, y}, conditioning set). Its
+    batches and boolean forms are the protocol's own loops."""
 
     def __init__(self, table):
         self.table = table
@@ -127,8 +128,9 @@ class _FakeTester:
         return CiResult(statistic=0.0, dof=1, p_value=p, reliable=True,
                         independent=indep)
 
-    def independent(self, x, y, z=()):
-        return self.ci(x, y, z).independent
+    def set_ci(self, xs, ys, z=()):
+        (x,), (y,) = xs, ys
+        return self.ci(x, y, z)
 
 
 def test_symmetric_mode_drops_one_sided_member():
