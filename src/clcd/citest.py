@@ -14,12 +14,14 @@ those of the fold of a common side and z. A lone test counts one side;
 :func:`prefetch` counts a batch's sides at once, under any z, the empty one
 too. Any other table is built in O(n) by one ``np.bincount`` of mixed-radix
 codes (:func:`_nat_kernel`), its strata first compacted to the observed
-ones, in code order, when it has more cells than the data has rows. Cells
-are read back in (stratum, x, y) order and empty strata add nothing, so both
-counters give identical bits. The dataset keeps the last conditioning set's
-fold, compaction and planes, so tests under one set build each once, and
-the results :func:`prefetch` counted ahead under it, one stack per table
-shape with each table still summed alone, until their tests take them.
+ones, in code order, when it has more cells than the data has rows, and
+its one-row strata dropped, their one exact +0.0 term each put back in
+place. Cells are read back in (stratum, x, y) order and empty strata add
+nothing, so every path gives identical bits. The dataset keeps the last
+conditioning set's fold, compaction and planes, so tests under one set build
+each once, and the results :func:`prefetch` counted ahead under it, one
+stack per table shape with each table still summed alone, until their tests
+take them.
 """
 
 from __future__ import annotations
@@ -82,23 +84,30 @@ def _unreliable() -> CiResult:
 
 
 def _nat_kernel(xcode: np.ndarray, rx: int, ycode: np.ndarray, ry: int,
-                zidx: np.ndarray | None, n_strata: int) -> tuple[float, int]:
+                zidx: np.ndarray | None, n_strata: int, rows=None,
+                before=None) -> tuple[float, int]:
     """:func:`_nat_tables` of one bincount's table, cell ``(x·ry + y)·n_strata
     + s``. ``zidx`` is a per-row stratum code below ``n_strata``, or None for
-    the empty conditioning set (one stratum)."""
+    the empty conditioning set (one stratum). With :func:`_strata`'s filter,
+    only ``rows`` are counted, ``zidx`` being theirs."""
     flat = xcode * ry + ycode
+    if rows is not None:
+        flat = flat[rows]
     if zidx is not None:
         flat *= n_strata
         flat += zidx
     return _nat_tables(np.bincount(flat, minlength=rx * ry * n_strata).reshape(
-        1, rx, ry, n_strata))[0]
+        1, rx, ry, n_strata), before)[0]
 
 
-def _nat_tables(counts: np.ndarray) -> list[tuple[float, int]]:
+def _nat_tables(counts: np.ndarray,
+                before: np.ndarray | None = None) -> list[tuple[float, int]]:
     """Sum of O·ln(O·N_s / (row·col)) over the strata, and the adjusted dof,
     of each int64 ``(rx, ry, n_strata)`` table in a ``(B, ...)`` stack. The
     terms are made for the whole stack; each table's nonzero ones, in
-    (stratum, x, y) order, are summed alone, the same in any stack."""
+    (stratum, x, y) order, are summed alone, the same in any stack. A stack
+    of one may pass ``before``, a +0.0 term per dropped one-row stratum:
+    ``before[s]`` ahead of stratum s, ``before[-1]`` in all."""
     rows, cols = np.add.reduce(counts, 2), np.add.reduce(counts, 1)
     # Empty strata divide by 1, not 0: they have no nonzero cell to read.
     expected = (rows[:, :, None] * cols[:, None] / np.maximum(
@@ -107,7 +116,11 @@ def _nat_tables(counts: np.ndarray) -> list[tuple[float, int]]:
     nonzero = counts.nonzero()[0]
     o = counts[nonzero]  # int64 counts convert exactly inside the float ops
     terms = o * np.log(o / expected.ravel()[nonzero])
-    ends = [len(o)] if len(rows) == 1 else nonzero.searchsorted(
+    if before is not None:
+        stratum = nonzero // (rows.shape[1] * cols.shape[1])
+        terms, kept = np.zeros(len(o) + before[-1]), terms
+        terms[np.arange(len(o)) + before[stratum]] = kept
+    ends = [len(terms)] if len(rows) == 1 else nonzero.searchsorted(
         np.arange(1, len(rows) + 1) * (counts.size // len(rows))).tolist()
     # Per-stratum levels with nonzero marginals; one clip zeroes empty strata.
     lx, ly = (np.add.reduce(np.minimum(m, 1), 1) for m in (rows, cols))
@@ -155,11 +168,12 @@ def _memo_entry(ds: Dataset, zt: tuple[VariableId, ...]) -> dict:
 
 
 def _strata(ds: Dataset, zt: tuple[VariableId, ...],
-            cells: int) -> tuple[np.ndarray | None, int] | None:
+            cells: int) -> tuple | None:
     """Stratum code per row of sorted ``zt`` and the stratum count, or None
-    past _MAX_TABLE_CELLS. With ``cells`` cells per stratum and more cells
-    than rows, the observed strata are compacted by ``np.unique`` in code
-    order."""
+    past _MAX_TABLE_CELLS, judged before pruning. With ``cells`` cells per
+    stratum and more cells than rows, the observed strata are compacted by
+    ``np.unique`` in code order and the one-row strata dropped: the kept
+    rows and :func:`_nat_tables`' ``before`` follow, or None and None."""
     entry = _memo_entry(ds, zt)
     if "code" not in entry:
         entry["code"] = _fold(ds, zt)[0]
@@ -171,10 +185,18 @@ def _strata(ds: Dataset, zt: tuple[VariableId, ...],
     if code is None or n_states * cells <= ds.n_rows:
         return code, n_states
     if "inverse" not in entry:
-        observed, entry["inverse"] = np.unique(code, return_inverse=True)
-        entry["inverse"].setflags(write=False)
-        entry["n_strata"] = len(observed)
-    return entry["inverse"], entry["n_strata"]
+        _, inverse, sizes = np.unique(code, return_inverse=True,
+                                      return_counts=True)
+        lone = np.cumsum(sizes == 1)  # one-row strata up to each stratum
+        if lone[-1]:
+            entry["rows"] = (sizes[inverse] > 1).nonzero()[0]
+            entry["before"] = np.append(lone[sizes > 1], lone[-1])
+            inverse = inverse[entry["rows"]]
+            inverse -= lone[inverse]
+        entry.update(inverse=inverse, n_strata=len(sizes) - int(lone[-1]))
+        for key in entry.keys() & {"inverse", "rows", "before"}:
+            entry[key].setflags(write=False)
+    return tuple(map(entry.get, ("inverse", "n_strata", "rows", "before")))
 
 
 def _planes(ds: Dataset) -> tuple | None:

@@ -218,6 +218,85 @@ def test_kernel_matches_stratum_major_reference(n, k, arities, seed):
                                            *_fold(ds, zt))
 
 
+def _pruned_and_reference(ds, xt, yt, zt):
+    """``_nat_kernel`` through ``_strata``'s one-row-strata filter, asserted
+    to engage, and the stratum-major reference on the whole table."""
+    (xcode, rx), (ycode, ry) = _fold(ds, xt), _fold(ds, yt)
+    got = _nat_kernel(xcode, rx, ycode, ry, *_strata(ds, zt, rx * ry))
+    assert {"rows", "before"} <= ds._memo[zt].keys()
+    return got, _stratum_major_reference(xcode, rx, ycode, ry, *_fold(ds, zt))
+
+
+@st.composite
+def _lone_strata_tables(draw):
+    # Sides of one or two columns and 1-12 z columns, arities 1-4, with more
+    # cells than rows. Row 0 alone takes the first or the last value of z's
+    # first column, so the first or the last stratum holds one row; the
+    # other rows repeat a few z patterns or draw their own.
+    sides = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    kx = draw(st.integers(1, len(sides) - 1))
+    zar = draw(st.lists(st.integers(1, 4), min_size=1, max_size=12))
+    zar[0] = max(zar[0], 2)
+    n = draw(st.integers(1, min(3000, math.prod(sides + zar) - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 8))
+    patterns = np.stack([rng.integers(0, a, m) for a in zar])
+    z = np.where(rng.random(n) < draw(st.sampled_from((0.0, 0.5, 0.9, 1.0))),
+                 patterns[:, rng.integers(0, m, n)],
+                 np.stack([rng.integers(0, a, n) for a in zar]))
+    lone = draw(st.sampled_from((0, zar[0] - 1)))
+    z[0] = z[0] % (zar[0] - 1) + (lone == 0)
+    z[0, 0] = lone
+    cols = [np.where(rng.random(n) < 0.5, z.sum(axis=0) % a,
+                     rng.integers(0, a, n)) for a in sides] + list(z)
+    ds = build_dataset({f"v{i}": c for i, c in enumerate(cols)},
+                       arities=sides + zar)
+    k = len(sides)
+    return ds, tuple(range(kx)), tuple(range(kx, k)), tuple(
+        range(k, k + len(zar)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lone_strata_tables())
+def test_pruned_kernel_equals_stratum_major_reference(case):
+    # Dropping the one-row strata and putting their +0.0 terms back keeps
+    # every bit of the statistic and the dof, up to 3000 rows and |z| = 12.
+    got, ref = _pruned_and_reference(*case)
+    assert got == ref
+
+
+def test_pruned_kernel_pinned_cases():
+    # Every stratum holds one row: nothing is counted, a sum of zeros.
+    ds = build_dataset({"x": [0, 1, 1, 0, 1, 0, 0, 1],
+                        "y": [1, 1, 0, 0, 1, 0, 1, 0],
+                        "z0": [0, 0, 0, 0, 1, 1, 1, 1],
+                        "z1": [0, 0, 1, 1, 0, 0, 1, 1], "z2": [0, 1] * 4})
+    assert _pruned_and_reference(ds, (0,), (1,), (2, 3, 4)) == ((0.0, 0),) * 2
+    assert ds._memo[(2, 3, 4)]["n_strata"] == 0
+    # The first and the last observed strata hold one row each.
+    ds = build_dataset({"x": [0, 0, 1, 0, 1, 1, 0, 1, 1, 1],
+                        "y": [0, 0, 1, 1, 1, 0, 0, 1, 1, 0],
+                        "z0": [0] + [0, 1] * 4 + [1],
+                        "z1": [0] + [1, 0] * 4 + [1],
+                        "z2": [0] + [0, 1] * 4 + [1]})
+    got, ref = _pruned_and_reference(ds, (0,), (1,), (2, 3, 4))
+    assert got == ref and got[1] == 2
+    assert ds._memo[(2, 3, 4)]["before"].tolist() == [1, 1, 2]
+    # Composite sides, and columns of arity 1 in a side and in z.
+    rng = np.random.default_rng(14)
+    cols = {f"v{i}": rng.integers(0, 3, 60) for i in range(7)}
+    cols["one"] = np.zeros(60, dtype=np.int64)
+    ds = build_dataset(cols, arities=[3] * 7 + [1])
+    for xt, yt, zt in (((0, 1), (2,), (3, 4, 5, 6)),
+                       ((0,), (1, 7), (2, 3, 4, 5)),
+                       ((0, 1), (2, 7), (3, 4, 5))):
+        got, ref = _pruned_and_reference(ds, xt, yt, zt)
+        assert got == ref and got[1] > 0
+    zt = (3, 4, 5, 7)
+    got, ref = _pruned_and_reference(ds, (0, 1), (2,), zt)
+    assert got == ref and got[1] > 0
+
+
 def test_row_permutation_leaves_g2_results_identical():
     # 14 planted binary variables over 400 rows: from |z|=8 on the raw
     # strata outnumber the rows and the kernel compacts them.
@@ -465,20 +544,45 @@ def test_strata_memo_is_per_dataset():
 
 
 def test_strata_memo_arrays_are_read_only():
-    # 8 strata x 4 cells > 20 rows: the entry holds a fold and a compaction.
+    # 8 strata x 4 cells > 20 rows: the entry holds a fold and a compaction,
+    # and, where some strata hold one row, the filter's kept rows and counts.
+    # Ten rows twice over leave every stratum two rows or more: no filter.
     rng = np.random.default_rng(6)
-    ds = build_dataset({f"v{i}": rng.integers(0, 2, 20) for i in range(5)},
-                       arities=[2] * 5)
-    g2_test(ds, 0, 1, (4, 2, 3))
-    (key, entry), = ds._memo.items()
-    assert key == (2, 3, 4)
-    assert _took_kernel(ds, key) and "planes" not in entry
-    arrays = [v for v in entry.values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 2
-    for arr in arrays:
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0
+    codes = rng.integers(0, 2, (5, 20))
+    for rows, keys in ((codes, {"code", "inverse", "rows", "before"}),
+                       (np.tile(codes[:, :10], 2), {"code", "inverse"})):
+        ds = build_dataset({f"v{i}": c for i, c in enumerate(rows)},
+                           arities=[2] * 5)
+        g2_test(ds, 0, 1, (4, 2, 3))
+        (key, entry), = ds._memo.items()
+        assert key == (2, 3, 4)
+        assert _took_kernel(ds, key) and "planes" not in entry
+        arrays = {k: v for k, v in entry.items() if isinstance(v, np.ndarray)}
+        assert arrays.keys() == keys
+        for arr in arrays.values():
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+def test_strata_filter_lives_in_z_entry():
+    # The filter is built once per z in z's one memo entry, shared by every
+    # test under z, replaced with z, and built again, equal, when z returns.
+    rng = np.random.default_rng(12)
+    ds = build_dataset({f"v{i}": rng.integers(0, 3, 30) for i in range(6)})
+    filters = []
+    for z in ((2, 3, 4), (3, 4, 5), (2, 3, 4)):
+        for x, y in ((0, 1), (1, 0), (0, 5 if 5 not in z else 2)):
+            g2_test(ds, x, y, z)
+            (key, entry), = ds._memo.items()
+            assert key == z
+            if (x, y) == (0, 1):
+                filters.append((entry["rows"], entry["before"]))
+            assert entry["rows"] is filters[-1][0]
+    (rows0, before0), (rows1, _), (rows2, before2) = filters
+    assert not np.array_equal(rows0, rows1)
+    assert rows2 is not rows0
+    assert np.array_equal(rows2, rows0) and np.array_equal(before2, before0)
 
 
 def test_dataset_with_strata_memo_is_freed():
@@ -489,6 +593,8 @@ def test_dataset_with_strata_memo_is_freed():
     assert _took_kernel(ds, (2, 3, 4))
     g2_test(ds, 0, 1, (2, 3))  # 4 strata x 4 cells x 1 word <= 20 rows
     assert "planes" in ds._memo[(2, 3)]
+    g2_test(ds, 0, 1, (2, 3, 4))  # freed while it holds a pruned entry
+    assert "rows" in ds._memo[(2, 3, 4)]
     ref = weakref.ref(ds)
     del ds
     gc.collect()

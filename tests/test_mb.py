@@ -222,8 +222,8 @@ def test_set_ci_many_equals_set_ci_one_by_one(monkeypatch):
     sides = [(0,), (1, 2), (5,), (2, 1), (4, 8), (2, 4), (0,)]
     stacks = []
     nat_tables = citest._nat_tables
-    monkeypatch.setattr(citest, "_nat_tables",
-                        lambda c: stacks.append(len(c)) or nat_tables(c))
+    monkeypatch.setattr(citest, "_nat_tables", lambda c, *rest: (
+        stacks.append(len(c)) or nat_tables(c, *rest)))
     for z in [(6, 7), (7,), ()]:
         batched = G2Tester(ds, CiConfig())
         alone = G2Tester(dataclasses.replace(ds), CiConfig())
