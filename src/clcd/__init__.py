@@ -17,7 +17,6 @@ from .benchmark import (
 from .citest import (
     CiConfig,
     CiResult,
-    cond_mutual_information,
     g2_test,
     set_ci,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "children_map",
     "clcd",
     "clcd_fs",
-    "cond_mutual_information",
     "contains_equivalent_info",
     "delabel_pc",
     "dsep_oracle",

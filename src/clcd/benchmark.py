@@ -57,18 +57,17 @@ def run_algorithm(name: str, ds, cfg: CiConfig = CiConfig(), max_z: int = 1):
     if name == "clcd":
         out = clcd(ds, cfg=cfg, max_z=max_z)
         return dict(out.ccv), dict(out.tcv)
-    if name not in ("hiton-intersect", "iamb-intersect"):
+    if name not in ALGORITHMS:
         raise ValueError(f"unknown algorithm: {name}")
     tester = G2Tester(ds, cfg)
     mbs = {}
     for t in labels:
-        candidates = sorted(set(range(ds.n_vars)) - {t})
         if name == "hiton-intersect":
-            mbs[t] = hiton_mb(tester, t, candidates, cfg).mb
+            mbs[t] = hiton_mb(tester, t, range(ds.n_vars), cfg).mb
         else:
-            mbs[t] = iamb(tester, t, candidates, cfg)
+            mbs[t] = iamb(tester, t, range(ds.n_vars), cfg)
     common = intersection_common(mbs, labels)
-    claimed = set().union(*common.values()) if common else set()
+    claimed = set().union(*common.values())
     label_set = set(labels)
     specific = {t: (mbs[t] - label_set) - claimed for t in labels}
     return common, specific

@@ -1,10 +1,10 @@
-"""G² conditional-independence tests and plug-in conditional mutual information.
+"""G² conditional-independence tests.
 
 Every test sums O·ln(O/E) over a stratum-minor count table of shape
 ``(rx, ry, n_strata)``, scored by :func:`_nat_tables` in a stack of one or
 more. :func:`g2_test` is :func:`set_ci` with singleton sides, so the two are
-the same test, and :func:`cond_mutual_information` reads the same sum, so
-``G² = 2 n ln(2) I(X;Y|Z)`` holds to floating-point rounding by construction.
+the same test. ``G² = 2 n ln(2) I(X;Y|Z)``, so a table's plug-in conditional
+mutual information in bits is ``set_ci(...).statistic / (2·n·ln 2)``.
 
 A table whose cells times the words of one bit plane fit in the rows is
 counted by :func:`_plane_counts`, the one plane counter: it AND-popcounts the
@@ -160,7 +160,11 @@ def _fold(ds: Dataset,
 
 
 def _memo_entry(ds: Dataset, zt: tuple[VariableId, ...]) -> dict:
-    """``ds._memo``'s one entry, for sorted ``zt``; a new set replaces it."""
+    """``ds._memo``'s one entry, for sorted ``zt``; a new set replaces it.
+    It holds z's state count; its fold, compaction (kept rows and one-row
+    strata dropped before each kept one, when some stratum has one row) and
+    ANDed bit planes, each built on first need and read-only; and the
+    (nat, dof) results :func:`prefetch` counted, until taken."""
     if zt not in ds._memo:
         ds._memo.clear()
         ds._memo[zt] = {"n_states": math.prod(map(ds.arity, zt))}
@@ -201,7 +205,8 @@ def _strata(ds: Dataset, zt: tuple[VariableId, ...],
 
 def _planes(ds: Dataset) -> tuple | None:
     """(words, offsets): bit plane ``codes[v] == k`` packed into uint64 row
-    ``offsets[v] + k`` of ``words``. None when they pass _MAX_TABLE_CELLS."""
+    ``offsets[v] + k`` of ``words``. None when they pass _MAX_TABLE_CELLS.
+    Built once into ``ds._planes``, read-only, and never replaced."""
     if not ds._planes:
         offsets = np.concatenate(([0], np.cumsum(ds.arities)))
         levels, n_words = int(offsets[-1]), -(-ds.n_rows // 64)
@@ -296,11 +301,11 @@ def _validate_sets(xs, ys, z) -> tuple[tuple, tuple, tuple]:
     return xt, yt, zt
 
 
-def _nat(ds: Dataset, xt: tuple, yt: tuple, zt: tuple,
-         capped: bool) -> tuple[float, int] | None:
+def _nat(ds: Dataset, xt: tuple, yt: tuple,
+         zt: tuple) -> tuple[float, int] | None:
     """:func:`_nat_tables`' (nat, dof) for sorted ``xt ⊥ yt | zt``, or None
-    past _MAX_TABLE_CELLS or, if ``capped``, past MAX_CELLS_PER_STRATUM. A
-    :func:`prefetch` result comes first, then the planes, then the kernel."""
+    past MAX_CELLS_PER_STRATUM or _MAX_TABLE_CELLS. A :func:`prefetch`
+    result comes first, then the planes, then the kernel."""
     entry = _memo_entry(ds, zt)
     if (xt, yt) in entry:  # left by prefetch
         return entry.pop((xt, yt))
@@ -310,7 +315,7 @@ def _nat(ds: Dataset, xt: tuple, yt: tuple, zt: tuple,
             1, rx, ry, entry["n_states"]))[0]
     xcode, rx = _fold(ds, xt)
     ycode, ry = _fold(ds, yt)
-    if capped and len(xt + yt) > 2 and rx * ry > MAX_CELLS_PER_STRATUM:
+    if len(xt + yt) > 2 and rx * ry > MAX_CELLS_PER_STRATUM:
         return None
     strata = _strata(ds, zt, rx * ry)
     return strata and _nat_kernel(xcode, rx, ycode, ry, *strata)
@@ -335,15 +340,8 @@ def set_ci(ds: Dataset, xs, ys, z=(), cfg: CiConfig = CiConfig()) -> CiResult:
     more variables and the composite table would exceed
     MAX_CELLS_PER_STRATUM cells, the test is reported unreliable.
     """
-    found = _nat(ds, *_validate_sets(xs, ys, z), capped=True)
+    found = _nat(ds, *_validate_sets(xs, ys, z))
     if found is None:
         return _unreliable()
     return _result_from_kernel(*found, ds.n_rows, cfg)
 
-
-def cond_mutual_information(ds: Dataset, xs, ys, z=()) -> float:
-    """Plug-in estimate of I(xs; ys | z) in bits; tiny negatives clamp to 0."""
-    found = _nat(ds, *_validate_sets(xs, ys, z), capped=False)
-    if found is None:
-        raise ValueError("count table exceeds _MAX_TABLE_CELLS cells")
-    return found[0] / (ds.n_rows * math.log(2.0))

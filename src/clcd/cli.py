@@ -25,7 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .benchmark import render_benchmark_csv, run_algorithm, run_benchmark
+from .benchmark import (
+    ALGORITHMS,
+    render_benchmark_csv,
+    run_algorithm,
+    run_benchmark,
+)
 from .citest import CiConfig
 from .data import load_dataset
 from .discovery import clcd
@@ -247,13 +252,25 @@ def cmd_select(args) -> tuple:
 # eval
 
 
-def _load_found(path):
-    with open(path) as fh:
-        doc = json.load(fh)
+def _read_object(path) -> dict:
+    """The JSON object a file holds; any other JSON is a ValueError."""
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return doc
+
+
+def _variable_sets(doc: dict, suffix: str = "") -> tuple:
+    """A found document's (common, specific); with "_true", a truth's."""
     common = {frozenset(e["labels"]): set(e["variables"])
-              for e in doc.get("common", [])}
-    specific = {t: set(vs) for t, vs in doc.get("specific", {}).items()}
+              for e in doc.get("common" + suffix, [])}
+    specific = {t: set(vs)
+                for t, vs in doc.get("specific" + suffix, {}).items()}
     return common, specific
+
+
+def _load_found(path):
+    return _variable_sets(_read_object(path))
 
 
 def truth_doc(truth: GroundTruth, names) -> dict:
@@ -270,12 +287,8 @@ def truth_doc(truth: GroundTruth, names) -> dict:
 
 
 def _load_truth(path) -> GroundTruth:
-    with open(path) as fh:
-        doc = json.load(fh)
-    common_true = {frozenset(e["labels"]): set(e["variables"])
-                   for e in doc.get("common_true", [])}
-    specific_true = {t: set(vs)
-                     for t, vs in doc.get("specific_true", {}).items()}
+    doc = _read_object(path)
+    common_true, specific_true = _variable_sets(doc, "_true")
     classes = tuple(frozenset(cls)
                     for cls in doc.get("equivalence_classes", []))
     variants = {t: [frozenset(v) for v in vs]
@@ -331,8 +344,7 @@ def cmd_eval(args) -> tuple:
 
 
 def cmd_bench(args) -> tuple:
-    with open(args.sweep) as fh:
-        sweep = json.load(fh)
+    sweep = _read_object(args.sweep)
     template = GenConfig(
         n_labels=sweep.get("n_labels", 4),
         n_features=sweep.get("n_features", 40),
@@ -345,14 +357,11 @@ def cmd_bench(args) -> tuple:
         p_c=0.0, p_m=0.0)
     cfg = CiConfig(alpha=sweep.get("alpha", 0.05),
                    max_cond_size=sweep.get("max_cond_size", 3))
-    algorithms = tuple(sweep.get("algorithms",
-                                 ("clcd", "hiton-intersect",
-                                  "iamb-intersect")))
     rows, details = run_benchmark(
         template,
         p_c_grid=sweep.get("p_c", [0.0]),
         p_m_grid=sweep.get("p_m", [0.0]),
-        algorithms=algorithms,
+        algorithms=tuple(sweep.get("algorithms", ALGORITHMS)),
         n_seeds=args.seeds,
         cfg=cfg,
         max_z=sweep.get("max_z", 1))
@@ -367,9 +376,7 @@ def cmd_bench(args) -> tuple:
 
 def cmd_rerun(args) -> list:
     """The manifest's argv with ``--out`` pointed at the new directory."""
-    with open(args.manifest) as fh:
-        doc = json.load(fh)
-    stored = doc.get("argv") if isinstance(doc, dict) else None
+    stored = _read_object(args.manifest).get("argv")
     if not (isinstance(stored, list)
             and all(isinstance(a, str) for a in stored)):
         raise ValueError("manifest has no argv list of strings")
@@ -422,8 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discover", parents=[search],
                        help="run discovery on a dataset")
-    p.add_argument("--algo", default="clcd",
-                   choices=("clcd", "hiton-intersect", "iamb-intersect"))
+    p.add_argument("--algo", default="clcd", choices=ALGORITHMS)
     p.set_defaults(func=cmd_discover)
 
     p = sub.add_parser("select", parents=[search],

@@ -23,13 +23,8 @@ class Dataset:
     only the rows it involves. Codes for variable v lie in [0, arities[v]).
     ``is_label`` marks target columns; everything else is a feature.
     The arrays are the dataset's own read-only copies, so what ``citest``
-    derives from them never goes stale. ``_memo`` keeps the last conditioning
-    set's fold, compaction (kept rows and one-row strata dropped before each
-    kept one, when some stratum has one row) and ANDed bit planes, each built
-    on first need, and the (nat, dof) results ``citest.prefetch`` counted
-    until taken.
-    ``_planes`` holds every column's bit planes once first built, never
-    replaced. All are read-only and die with the dataset.
+    derives from them never goes stale. ``_memo`` and ``_planes`` are
+    ``citest``'s per-dataset caches, and die with the dataset.
     ``codes`` is kept without a copy only when it is already a read-only,
     C-contiguous int64 array that owns its data, as the loaders and
     ``synth.sample`` hand it over. Equality is identity.
@@ -111,7 +106,7 @@ def load_dataset(csv_path, meta_path) -> Dataset:
     strings or reports errors.
     """
     meta = json.loads(Path(meta_path).read_text(encoding="utf-8"))
-    label_names = meta.get("labels")
+    label_names = meta.get("labels") if isinstance(meta, dict) else None
     if not isinstance(label_names, list) or not all(isinstance(s, str) for s in label_names):
         raise ValueError('metadata must be a JSON object {"labels": [name, ...]}')
     with open(csv_path, newline="", encoding="utf-8") as fh:

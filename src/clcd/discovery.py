@@ -46,14 +46,10 @@ class ClcdOutput:
     witnesses: list = field(default_factory=list)
 
 
-def _all_candidates(ds: Dataset, target: VariableId) -> set:
-    return set(range(ds.n_vars)) - {target}
-
-
 def phase1_structures(tester: CiTester, ds: Dataset, labels,
                       cfg: CiConfig) -> dict:
     """Learn a local structure for every label over all other variables."""
-    return {t: hiton_mb(tester, t, _all_candidates(ds, t), cfg)
+    return {t: hiton_mb(tester, t, range(ds.n_vars), cfg)
             for t in sorted(labels)}
 
 
@@ -116,9 +112,8 @@ def phase3_equivalences(tester: CiTester, ds: Dataset, labels,
         if x in structures:
             pc = set(structures[x].pc)
         else:
-            pc, _sepsets = hiton_pc(tester, x, _all_candidates(ds, x), cfg)
-        scan = [f for f in ds.features if f != x and f not in pc]
-        out[x] = find_equivalences(tester, x, pc, scan, max_z)
+            pc, _sepsets = hiton_pc(tester, x, range(ds.n_vars), cfg)
+        out[x] = find_equivalences(tester, x, pc, ds.features, max_z)
     return out
 
 

@@ -86,8 +86,6 @@ def find_equivalences(tester: CiTester, x: VariableId, pc_x, candidates,
     sides = list(subsets(pc, max_z))
     found = []
     for z in subsets(pool, max_z):
-        if len(z) > 1 and tester.set_independent((x,), z, ()):
-            continue
         # the sides are disjoint by construction: s from pc, z from outside
         found += [EquivalencePair(target=x, s=frozenset(s), z=frozenset(z))
                   for s in equivalent_info(tester, (x,), sides, z)]

@@ -1,7 +1,8 @@
 """Local causal structure learning: HITON-style PC/MB search and IAMB.
 
 Every search takes a tester as its first argument: :class:`G2Tester` on data,
-or an exact graphical oracle that stands in for it in checks.
+or an exact graphical oracle that stands in for it in checks. Each drops its
+own target from the candidates it is handed.
 """
 
 from __future__ import annotations
@@ -186,8 +187,7 @@ def hiton_pc(tester: CiTester, target: VariableId, candidates,
 
     if symmetric:
         for x in sorted(pc):
-            reverse_pc, reverse_sep = hiton_pc(
-                tester, x, (set(pool) | {target}) - {x}, cfg)
+            reverse_pc, reverse_sep = hiton_pc(tester, x, [*pool, target], cfg)
             if target not in reverse_pc:
                 pc.remove(x)
                 # the reverse search separated (target, x); reuse its witness
@@ -205,13 +205,12 @@ def hiton_mb(tester: CiTester, target: VariableId, candidates,
     sepset(X) ∪ {Y}. No further trimming: conditioning a weak collider signal
     on the whole boundary would wash it out and silently drop true spouses.
     """
-    scope = set(candidates) - {target}
+    scope = set(candidates) | {target}
     pc, sepsets = hiton_pc(tester, target, scope, cfg, symmetric)
 
     spouses: dict = {}
     for child in sorted(pc):
-        child_pc, _ = hiton_pc(tester, child, (scope | {target}) - {child},
-                               cfg, symmetric)
+        child_pc, _ = hiton_pc(tester, child, scope, cfg, symmetric)
         for x in sorted(child_pc):
             if x == target or x in pc:
                 continue

@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import strategies as hst
@@ -30,6 +33,15 @@ def permute_rows(ds, seed):
     perm = np.random.default_rng(seed).permutation(ds.n_rows)
     return Dataset(codes=ds.codes[:, perm], arities=ds.arities,
                    is_label=ds.is_label, names=ds.names)
+
+
+def plug_in_cmi(x, y, z) -> float:
+    """Plug-in I(X;Y|Z) in bits from the cell counts of three code columns,
+    kept in Python dicts."""
+    cells, strata = Counter(zip(z, x, y)), Counter(z)
+    xz, yz = Counter(zip(z, x)), Counter(zip(z, y))
+    return sum(o / len(z) * math.log2(o * strata[s] / (xz[s, a] * yz[s, b]))
+               for (s, a, b), o in cells.items())
 
 
 def bsc(flip):

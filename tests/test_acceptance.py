@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from clcd.benchmark import rep_seed, run_algorithm
-from clcd.citest import CiConfig, cond_mutual_information, g2_test
+from clcd.citest import CiConfig, g2_test
 from clcd.cli import main
 from clcd.discovery import phase1_structures, phase2_retrieve
 from clcd.equivalence import contains_equivalent_info
@@ -37,7 +37,7 @@ from clcd.synth import (
     random_net,
     sample,
 )
-from conftest import build_dataset, xor_labels_net
+from conftest import build_dataset, plug_in_cmi, xor_labels_net
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -61,7 +61,8 @@ def test_criterion_01_kernel_identity():
             arities=[ax, ay, 2])
         z = (2,) if rng.random() < 0.5 else ()
         stat = g2_test(ds, 0, 1, z).statistic
-        cmi = cond_mutual_information(ds, [0], [1], z)
+        cmi = plug_in_cmi(ds.codes[0].tolist(), ds.codes[1].tolist(),
+                          ds.codes[2].tolist() if z else [0] * n)
         worst_gap = max(worst_gap, abs(stat - 2.0 * n * math.log(2.0) * cmi))
 
     mpmath = pytest.importorskip("mpmath")
@@ -95,7 +96,9 @@ def test_criterion_02_cmi_consistency():
             picks = rng.choice(n, size=min(4, n), replace=False)
             x, y = int(picks[0]), int(picks[1])
             z = [int(v) for v in picks[2:2 + int(rng.integers(0, 3))]]
-            est = cond_mutual_information(ds, [x], [y], z)
+            # the plug-in information G² reads: statistic / (2 n ln 2)
+            est = (g2_test(ds, x, y, z).statistic
+                   / (2.0 * ds.n_rows * math.log(2.0)))
             worst = max(worst, abs(est - exact_cmi(net, [x], [y], z)))
     elapsed = time.perf_counter() - started
     ok = worst <= 0.01 and elapsed < 120.0

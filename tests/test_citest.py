@@ -19,13 +19,12 @@ from clcd.citest import (
     _nat_kernel,
     _result_from_kernel,
     _strata,
-    cond_mutual_information,
     g2_test,
     set_ci,
 )
 from clcd.mb import G2Tester
 from clcd.synth import GenConfig, generate, sample
-from conftest import build_dataset, permute_rows
+from conftest import build_dataset, permute_rows, plug_in_cmi
 
 
 def test_config_validation():
@@ -63,8 +62,14 @@ def test_g2_exact_independence_is_zero():
     assert res.independent
 
 
+def _bits(res, ds):
+    """The plug-in information in bits that a G² result reads."""
+    return res.statistic / (2.0 * ds.n_rows * math.log(2.0))
+
+
 def test_identity_with_cmi_fuzz():
-    # statistic == 2 n ln2 * cmi must hold to rounding for arbitrary data.
+    # statistic == 2 n ln2 * cmi must hold to rounding for arbitrary data,
+    # cmi being the plug-in estimate counted independently.
     rng = np.random.default_rng(7)
     for _ in range(200):
         n = int(rng.integers(20, 400))
@@ -77,7 +82,7 @@ def test_identity_with_cmi_fuzz():
         }
         ds = build_dataset(cols, arities=[ax, ay, 2])
         res = g2_test(ds, 0, 1, (2,))
-        cmi = cond_mutual_information(ds, [0], [1], [2])
+        cmi = plug_in_cmi(*(cols[k].tolist() for k in "xyz"))
         assert res.statistic == pytest.approx(
             2.0 * n * math.log(2.0) * cmi, abs=1e-9)
 
@@ -311,16 +316,18 @@ def test_row_permutation_leaves_g2_results_identical():
                 assert g2_test(shuffled, x, y, z) == g2_test(ds, x, y, z)
 
 
-def test_cmi_rejects_table_past_cell_cap(monkeypatch):
-    # Where set_ci reports the test unreliable, the estimate cannot be made.
+def test_set_ci_rejects_table_past_cell_cap(monkeypatch):
+    # A table of exactly _MAX_TABLE_CELLS cells (4 strata x 4) is still
+    # scored; one past it (8 strata x 4) is reported unreliable.
     rng = np.random.default_rng(2)
     ds = build_dataset({f"v{i}": rng.integers(0, 2, 40) for i in range(5)})
-    at_cap = cond_mutual_information(ds, [0], [1], [2, 3])
+    at_cap = set_ci(ds, [0], [1], [2, 3])
+    past_cap = set_ci(ds, [0], [1], [2, 3, 4])
+    assert at_cap.dof > 0 and past_cap.dof > 0
     monkeypatch.setattr(citest, "_MAX_TABLE_CELLS", 16)
-    assert cond_mutual_information(ds, [0], [1], [2, 3]) == at_cap
-    assert not set_ci(ds, [0], [1], [2, 3, 4]).reliable
-    with pytest.raises(ValueError, match="cells"):
-        cond_mutual_information(ds, [0], [1], [2, 3, 4])
+    assert set_ci(ds, [0], [1], [2, 3]) == at_cap
+    assert set_ci(ds, [0], [1], [2, 3, 4]) == CiResult(
+        statistic=0.0, dof=0, p_value=1.0, reliable=False, independent=True)
 
 
 def test_unreliable_when_rows_scarce():
@@ -428,7 +435,7 @@ def test_cmi_nonnegative_and_bounded():
             },
             arities=[2, 3, 2],
         )
-        cmi = cond_mutual_information(ds, [0], [1], [2])
+        cmi = _bits(set_ci(ds, [0], [1], [2]), ds)
         assert 0.0 <= cmi <= 1.0 + 1e-12  # capped by H(X) <= 1 bit
 
 
@@ -438,7 +445,7 @@ def test_cmi_of_copy_is_entropy():
     ds = build_dataset({"x": x, "x2": 1 - x})
     p = 0.75
     h = -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
-    assert cond_mutual_information(ds, [0], [1]) == pytest.approx(h, rel=1e-12)
+    assert _bits(g2_test(ds, 0, 1), ds) == pytest.approx(h, rel=1e-12)
 
 
 def test_g2_result_is_deterministic():
@@ -499,7 +506,7 @@ def test_strata_memo_matches_memo_cold_dataset(data):
     zsets = data.draw(st.lists(st.sets(st.integers(0, 7), max_size=6),
                                min_size=1, max_size=3))
     calls = data.draw(st.lists(st.tuples(
-        st.sampled_from((g2_test, set_ci, cond_mutual_information)),
+        st.sampled_from((g2_test, set_ci)),
         st.sampled_from(zsets), st.permutations(range(8))),
         min_size=1, max_size=12))
     with pytest.MonkeyPatch.context() as mp:
@@ -536,8 +543,6 @@ def test_strata_memo_is_per_dataset():
             g2, dof = _g2_by_counting(ds.codes[x], ds.codes[y], zrows)
             assert res.dof == dof
             assert res.statistic == pytest.approx(g2, rel=1e-12)
-            cmi = cond_mutual_information(ds, [x], [y], z)
-            assert cmi * 2 * ds.n_rows * math.log(2.0) == pytest.approx(g2)
             results.append(res)
         assert _took_kernel(ds, z)
     assert results[0] != results[2]
@@ -800,8 +805,7 @@ def test_size_rule_picks_the_counter(monkeypatch):
         before = seen.copy()
         assert set_ci(ds, *case) == ref
         assert seen - before == Counter([path])
-    cond_mutual_information(ds, [0], [1], [2, 3])
-    assert seen == Counter(planes=5, kernel=2)
+    assert seen == Counter(planes=4, kernel=2)
 
 
 def test_plane_memo_is_one_read_only_entry():

@@ -1,6 +1,8 @@
 import csv
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -227,6 +229,27 @@ def test_rerun_bad_manifest_returns_error(tmp_path, capsys, manifest):
     rc = main(["rerun", "--manifest", str(path), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["discover", "--data", "data.csv", "--meta", "input.json"],
+    ["select", "--data", "data.csv", "--meta", "input.json"],
+    ["bench", "--sweep", "input.json"],
+    ["eval", "--found", "input.json", "--truth", "truth.json"]],
+    ids=["discover-meta", "select-meta", "bench-sweep", "eval-found"])
+def test_json_input_that_is_not_an_object_returns_error(tmp_path, argv):
+    (tmp_path / "data.csv").write_text("a,b\n0,1\n1,0\n")
+    (tmp_path / "truth.json").write_text("{}")
+    (tmp_path / "input.json").write_text(
+        {"discover": '["a"]', "select": '["a"]', "bench": "[1]",
+         "eval": "[]"}[argv[0]])
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "clcd", *argv, "--out", "o"],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 1
+    assert "error:" in done.stderr and "Traceback" not in done.stderr
     assert not (tmp_path / "o").exists()
 
 

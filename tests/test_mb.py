@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -260,7 +261,8 @@ def test_row_permutation_leaves_boundaries_identical():
                     == search(G2Tester(ds, cfg), t, scope, cfg))
 
 
-def test_g2_and_dsep_testers_share_the_tester_protocol(chain_net):
+def test_g2_and_dsep_testers_share_the_tester_protocol(chain_net,
+                                                        collider_net):
     ds = sample(chain_net, 300, seed=2)
     testers = (G2Tester(ds, CiConfig()), DsepTester(chain_net))
     for tester in testers:
@@ -272,6 +274,15 @@ def test_g2_and_dsep_testers_share_the_tester_protocol(chain_net):
                     == tester.set_ci([0], [2], z).independent)
     assert [t.independent(0, 2, (1,)) for t in testers] == [True, True]
     assert not isinstance(object(), CiTester)
+    # every search drops its own target: a scope that holds it is the same
+    cfg = CiConfig()
+    searches = (hiton_pc, hiton_mb, partial(hiton_mb, symmetric=True), iamb)
+    for net in (chain_net, collider_net):
+        for tester in (G2Tester(sample(net, 2000, seed=3), cfg),
+                       DsepTester(net, cfg)):
+            for t, search in itertools.product(range(3), searches):
+                assert (search(tester, t, range(3), cfg)
+                        == search(tester, t, _scope(net, t), cfg))
 
 
 @given(pool=hst.lists(hst.integers(0, 20), max_size=7, unique=True),
