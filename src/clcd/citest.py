@@ -7,27 +7,26 @@ the same test. ``G² = 2 n ln(2) I(X;Y|Z)``, so a table's plug-in conditional
 mutual information in bits is ``set_ci(...).statistic / (2·n·ln 2)``.
 
 A table whose cells times the words of one bit plane fit in the rows is
-counted by :func:`_plane_counts`, the one plane counter: it AND-popcounts the
-stacked planes (one per variable and level; a set of several variables ANDs
-its members' planes in :func:`_fold`'s order) of one or more sides against
-those of the fold of a common side and z. A lone test counts one side;
-:func:`prefetch` counts a batch's sides at once, under any z, the empty one
-too. Any other table is built in O(n) by one ``np.bincount`` of mixed-radix
-codes (:func:`_nat_kernel`), its strata first compacted to the observed
-ones, in code order, when it has more cells than the data has rows, and
-its one-row strata dropped, their one exact +0.0 term each put back in
-place. Cells are read back in (stratum, x, y) order and empty strata add
-nothing, so every path gives identical bits. The dataset keeps the last
-conditioning set's fold, compaction and planes, so tests under one set build
-each once, and the results :func:`prefetch` counted ahead under it, one
-stack per table shape with each table still summed alone, until their tests
-take them.
+AND-popcounted from stacked bit planes (one per variable and level; a set of
+several variables ANDs its members' planes in :func:`_fold`'s order): a lone
+test by :func:`_plane_counts`, one side against the fold of the other and z;
+a batch by :func:`prefetch`, many sides against the folds of a common side
+with each of many z's, the empty one too. Any other table is built in O(n)
+by one ``np.bincount`` of mixed-radix codes (:func:`_nat_kernel`), its
+strata first compacted to the observed ones, in code order, when it has more
+cells than the data has rows, and its one-row strata dropped, their one
+exact +0.0 term each put back in place. Cells are read back in (stratum, x,
+y) order and empty strata add nothing, so every path gives identical bits.
+The dataset keeps the last conditioning set's fold, compaction and planes,
+so tests under one set build each once, and a batch's results, each table
+summed alone, in one stash keyed by the whole test until the test takes it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -161,10 +160,9 @@ def _fold(ds: Dataset,
 
 def _memo_entry(ds: Dataset, zt: tuple[VariableId, ...]) -> dict:
     """``ds._memo``'s one entry, for sorted ``zt``; a new set replaces it.
-    It holds z's state count; its fold, compaction (kept rows and one-row
+    It holds z's state count and its fold, compaction (kept rows and one-row
     strata dropped before each kept one, when some stratum has one row) and
-    ANDed bit planes, each built on first need and read-only; and the
-    (nat, dof) results :func:`prefetch` counted, until taken."""
+    ANDed bit planes, each built on first need and read-only."""
     if zt not in ds._memo:
         ds._memo.clear()
         ds._memo[zt] = {"n_states": math.prod(map(ds.arity, zt))}
@@ -234,11 +232,11 @@ def _composite(words: np.ndarray, offsets: np.ndarray,
     return head
 
 
-def _plane_counts(ds: Dataset, xt: tuple, sides: list,
+def _plane_counts(ds: Dataset, xt: tuple, yt: tuple,
                   zt: tuple) -> np.ndarray:
-    """AND-popcounts of the stacked planes of ``sides``' states (rows) by the
-    states of the fold of ``xt + zt`` (columns), for sorted ``zt``: side s
-    holds a ``(r_s, r_x, n_strata)`` table. z's planes stay in its memo
+    """AND-popcounts of the planes of ``yt``'s states (rows) by the states
+    of the fold of ``xt + zt`` (columns), for sorted ``zt``: the
+    ``(r_y, r_x, n_strata)`` table of one test. z's planes stay in its memo
     entry."""
     words, offsets = _planes(ds)
     head = _composite(words, offsets, xt)
@@ -248,8 +246,7 @@ def _plane_counts(ds: Dataset, xt: tuple, sides: list,
             entry["planes"] = _composite(words, offsets, zt)
             entry["planes"].setflags(write=False)
         head = (head[:, None] & entry["planes"]).reshape(-1, words.shape[1])
-    stack = [_composite(words, offsets, s) for s in sides]
-    rows = np.concatenate(stack) if len(stack) > 1 else stack[0]
+    rows = _composite(words, offsets, yt)
     return np.bitwise_count(rows[:, None] & head).sum(axis=-1, dtype=np.int64)
 
 
@@ -259,34 +256,48 @@ def _on_planes(ds: Dataset, cells: int) -> bool:
             and _planes(ds) is not None)
 
 
-def prefetch(ds: Dataset, xt: tuple, sides, zt: tuple) -> None:
-    """Count and score ``xt ⊥ s | zt`` for the sorted ``sides`` s that the
-    planes count, z sorted and maybe empty: per table shape (and chunk), one
-    AND-popcount and one :func:`_nat_tables` call, each table in the order
-    ``(min(xt, s), max(xt, s))``. Each (nat, dof) waits in z's memo entry,
-    under that pair, for :func:`_nat` to take it."""
-    entry = _memo_entry(ds, zt)
-    n_states = entry["n_states"]
-    rx = math.prod(map(ds.arity, xt))
-    groups: dict = {}
-    for s in sides:  # a square table takes either orientation in one stack
-        rs = math.prod(map(ds.arity, s))
-        groups.setdefault((rs, rs == rx or s < xt), []).append(s)
-    head_words = rx * n_states * -(-ds.n_rows // 64)
-    for (rs, _), members in groups.items():
-        if not _on_planes(ds, rx * rs * n_states):
+def prefetch(ds: Dataset, xt: tuple, tests) -> None:
+    """Count and score ``xt ⊥ s | z`` for the (s, z) pairs of ``tests`` that
+    the planes count, s and z sorted, z maybe empty. Each side shape's planes
+    are stacked once and ANDed with the stacked heads ``fold(xt + z)`` of a
+    chunk of z's of one state count: one AND-popcount of at most _BATCH_WORDS
+    words (z's chunked so that one side fits, then sides so that the chunk
+    does) and one :func:`_nat_tables` call, each table in the order
+    ``(min(xt, s), max(xt, s))``. Each asked (nat, dof) waits in
+    ``ds._stash`` under its whole test for :func:`_nat` to take it."""
+    rx, n_words = math.prod(map(ds.arity, xt)), -(-ds.n_rows // 64)
+    sides, zs, wanted, planes = {}, {}, dict.fromkeys(tests), _planes(ds)
+    for s in dict.fromkeys(s for s, _ in wanted):
+        rs = math.prod(map(ds.arity, s))  # square: either orientation
+        sides.setdefault((rs, rs == rx or xt < s), []).append(s)
+    for zt in dict.fromkeys(zt for _, zt in wanted):
+        zs.setdefault(math.prod(map(ds.arity, zt)), []).append(zt)
+    stacks = {key: np.concatenate([_composite(*planes, s) for s in group])
+              for key, group in sides.items()
+              if _on_planes(ds, rx * key[0] * min(zs))}
+    for (nz, group), ((rs, sq), stack) in product(zs.items(), stacks.items()):
+        if not _on_planes(ds, rx * rs * nz):
             continue
-        step = max(1, _BATCH_WORDS // (rs * head_words))
-        for i in range(0, len(members), step):
-            chunk = members[i:i + step]
-            counts = _plane_counts(ds, xt, chunk, zt).reshape(
-                len(chunk), rs, rx, n_states)
-            flip = np.array([xt < s for s in chunk])[:, None, None, None]
+        members, head_words = sides[rs, sq], rx * nz * n_words
+        z_step = min(len(group), max(1, _BATCH_WORDS // (rs * head_words)))
+        step = max(1, _BATCH_WORDS // (rs * head_words * z_step))
+        for i, j in product(range(0, len(group), z_step),
+                            range(0, len(members), step)):
+            chunk, part = group[i:i + z_step], members[j:j + step]
+            if not j:  # a new chunk of z's
+                heads = np.concatenate([_composite(*planes, xt + zt)
+                                        for zt in chunk])
+            counts = np.bitwise_count(stack[j * rs:(j + step) * rs, None]
+                                      & heads).sum(axis=-1, dtype=np.int64)
+            tables = counts.reshape(len(part), rs, len(chunk), -1).swapaxes(
+                1, 2).reshape(-1, rs, rx, nz)
+            flip = np.repeat([xt < s for s in part], len(chunk))
             if flip.any():  # those tables into (xt, s) order
-                counts = (np.where(flip, counts.swapaxes(1, 2), counts)
-                          if rs == rx else counts.swapaxes(1, 2))
-            entry.update(zip([(xt, s) if xt < s else (s, xt) for s in chunk],
-                             _nat_tables(counts)))
+                tables = (np.where(flip[:, None, None, None], tables.swapaxes(
+                    1, 2), tables) if rs == rx else tables.swapaxes(1, 2))
+            for (s, zt), res in zip(product(part, chunk), _nat_tables(tables)):
+                if (s, zt) in wanted:
+                    ds._stash[(xt, s, zt) if xt < s else (s, xt, zt)] = res
 
 
 def _validate_sets(xs, ys, z) -> tuple[tuple, tuple, tuple]:
@@ -306,12 +317,12 @@ def _nat(ds: Dataset, xt: tuple, yt: tuple,
     """:func:`_nat_tables`' (nat, dof) for sorted ``xt ⊥ yt | zt``, or None
     past MAX_CELLS_PER_STRATUM or _MAX_TABLE_CELLS. A :func:`prefetch`
     result comes first, then the planes, then the kernel."""
+    if (xt, yt, zt) in ds._stash:  # left by prefetch
+        return ds._stash.pop((xt, yt, zt))
     entry = _memo_entry(ds, zt)
-    if (xt, yt) in entry:  # left by prefetch
-        return entry.pop((xt, yt))
     rx, ry = math.prod(map(ds.arity, xt)), math.prod(map(ds.arity, yt))
     if _on_planes(ds, rx * ry * entry["n_states"]):
-        return _nat_tables(_plane_counts(ds, yt, [xt], zt).reshape(
+        return _nat_tables(_plane_counts(ds, yt, xt, zt).reshape(
             1, rx, ry, entry["n_states"]))[0]
     xcode, rx = _fold(ds, xt)
     ycode, ry = _fold(ds, yt)

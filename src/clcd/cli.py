@@ -261,12 +261,16 @@ def _read_object(path) -> dict:
 
 
 def _variable_sets(doc: dict, suffix: str = "") -> tuple:
-    """A found document's (common, specific); with "_true", a truth's."""
-    common = {frozenset(e["labels"]): set(e["variables"])
-              for e in doc.get("common" + suffix, [])}
-    specific = {t: set(vs)
-                for t, vs in doc.get("specific" + suffix, {}).items()}
-    return common, specific
+    """A found document's (common, specific); with "_true", a truth's. Any
+    other shape of either is a ValueError."""
+    try:
+        return ({frozenset(e["labels"]): set(e["variables"])
+                 for e in doc.get("common" + suffix, [])},
+                {t: set(vs)
+                 for t, vs in doc.get("specific" + suffix, {}).items()})
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"'common{suffix}' or 'specific{suffix}' is not "
+                         "shaped as the documents clcd writes") from exc
 
 
 def _load_found(path):
@@ -345,6 +349,9 @@ def cmd_eval(args) -> tuple:
 
 def cmd_bench(args) -> tuple:
     sweep = _read_object(args.sweep)
+    for key in "p_c p_m algorithms mb_size_range eq_copies_range".split():
+        if not isinstance(sweep.get(key, []), list):
+            raise ValueError(f"sweep field {key!r} must be a list")
     template = GenConfig(
         n_labels=sweep.get("n_labels", 4),
         n_features=sweep.get("n_features", 40),

@@ -23,8 +23,8 @@ class Dataset:
     only the rows it involves. Codes for variable v lie in [0, arities[v]).
     ``is_label`` marks target columns; everything else is a feature.
     The arrays are the dataset's own read-only copies, so what ``citest``
-    derives from them never goes stale. ``_memo`` and ``_planes`` are
-    ``citest``'s per-dataset caches, and die with the dataset.
+    derives from them never goes stale. ``_memo``, ``_planes`` and
+    ``_stash`` are ``citest``'s per-dataset caches, and die with the dataset.
     ``codes`` is kept without a copy only when it is already a read-only,
     C-contiguous int64 array that owns its data, as the loaders and
     ``synth.sample`` hand it over. Equality is identity.
@@ -36,6 +36,7 @@ class Dataset:
     names: tuple[str, ...]
     _memo: dict = field(default_factory=dict, init=False, repr=False)
     _planes: list = field(default_factory=list, init=False, repr=False)
+    _stash: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         codes = self.codes

@@ -3,7 +3,7 @@
 Two disjoint sets S and Z are information-equivalent for a set X when each
 is dependent on X yet screens the other off: X ⊥ S | Z and X ⊥ Z | S. Phase 3
 runs this check with one variable as X, phase 2 with two labels as S and Z.
-Phase 3 checks all PC subsets S against one Z at once: X ⊥ S | Z is a batch.
+Phase 3 asks X ⊥ S | Z for every PC subset S and external set Z as one grid.
 """
 
 from __future__ import annotations
@@ -35,19 +35,26 @@ class EquivalencePair:
             raise ValueError("target cannot appear on either side")
 
 
-def equivalent_info(tester: CiTester, xs, sides, z) -> list:
-    """The sides s, in order, that are information-equivalent to z for xs.
+def equivalent_info(tester: CiTester, xs, sides, zs) -> list:
+    """The (s, z) pairs, z-major, of ``sides`` and ``zs`` that are
+    information-equivalent for xs; all nonempty, each s and z disjoint.
 
-    Checks xs ⊥̸ s for every side, then xs ⊥̸ z if a side is left, then
-    xs ⊥ s | z for those left in one ``set_ci_many`` batch, then xs ⊥ z | s.
-    xs, z and each side must be nonempty and disjoint.
-    """
-    sides = [s for s in sides if not tester.set_independent(xs, s, ())]
-    if not sides or tester.set_independent(xs, z, ()):
+    If some z is given, asks xs ⊥̸ s for every side, then if a side is left
+    xs ⊥̸ z for every z, then the grid xs ⊥ s | z of those left, then
+    xs ⊥ z | s for the z's that screen s: one batch each, the last per s."""
+    zs = list(zs)
+    sides = [s for s, r in zip(sides, tester.set_ci_many(
+        xs, sides if zs else [])) if not r.independent]
+    if not sides:
         return []
-    screened = tester.set_ci_many(xs, sides, z)
-    return [s for s, r in zip(sides, screened)
-            if r.independent and tester.set_independent(xs, z, s)]
+    zs = [z for z, r in zip(zs, tester.set_ci_many(xs, zs))
+          if not r.independent]
+    pairs = set()
+    for s, column in zip(sides, zip(*tester.set_ci_grid(xs, sides, zs))):
+        screened = [z for z, r in zip(zs, column) if r.independent]
+        pairs.update((s, z) for z, r in zip(
+            screened, tester.set_ci_many(xs, screened, s)) if r.independent)
+    return [(s, z) for z in zs for s in sides if (s, z) in pairs]
 
 
 def contains_equivalent_info(tester: CiTester, target: VariableId,
@@ -63,17 +70,17 @@ def contains_equivalent_info(tester: CiTester, target: VariableId,
         raise ValueError("both sides must be nonempty")
     if s & z or target in s | z:
         raise ValueError("target, s and z must not overlap")
-    return bool(equivalent_info(tester, (target,), [s], z))
+    return bool(equivalent_info(tester, (target,), [s], [z]))
 
 
 def find_equivalences(tester: CiTester, x: VariableId, pc_x, candidates,
                       max_z: int = 1) -> list:
     """Scan for external sets equivalent to PC subsets of ``x``.
 
-    Z ranges over subsets (sizes 1..max_z) of candidates∖pc_x that are
-    dependent on x; S ranges over subsets of pc_x of the same sizes. Every
-    pair satisfying the equivalence conditions is returned, in
-    deterministic (size, id) order.
+    Z ranges over subsets (sizes 1..max_z) of candidates∖pc_x dependent on
+    x, S over subsets of pc_x of the same sizes, disjoint from Z. One
+    :func:`equivalent_info` call asks the tests, in batches per x, not per Z;
+    every equivalent pair is returned in deterministic (size, id) order.
     """
     if max_z < 1:
         raise ValueError("max_z must be >= 1")
@@ -83,10 +90,6 @@ def find_equivalences(tester: CiTester, x: VariableId, pc_x, candidates,
     pool = [c for c, r in zip(pool, tester.set_ci_many(
         (x,), [(c,) for c in pool], ())) if not r.independent]
 
-    sides = list(subsets(pc, max_z))
-    found = []
-    for z in subsets(pool, max_z):
-        # the sides are disjoint by construction: s from pc, z from outside
-        found += [EquivalencePair(target=x, s=frozenset(s), z=frozenset(z))
-                  for s in equivalent_info(tester, (x,), sides, z)]
-    return found
+    return [EquivalencePair(target=x, s=frozenset(s), z=frozenset(z))
+            for s, z in equivalent_info(tester, (x,), list(subsets(pc, max_z)),
+                                        subsets(pool, max_z))]

@@ -25,9 +25,14 @@ class CiTester(Protocol):
     def ci(self, x: VariableId, y: VariableId, z=()) -> CiResult: ...
     def set_ci(self, xs, ys, z=()) -> CiResult: ...
 
+    def set_ci_grid(self, xs, ys_list, zs) -> list:
+        """``set_ci(xs, ys, z)`` for each ``ys`` of ``ys_list``, one list per
+        ``z`` of ``zs``, in order: the one batch method."""
+        return [[self.set_ci(xs, ys, z) for ys in ys_list] for z in zs]
+
     def set_ci_many(self, xs, ys_list, z=()) -> list:
-        """``set_ci(xs, ys, z)`` for each ``ys`` of ``ys_list``, in order."""
-        return [self.set_ci(xs, ys, z) for ys in ys_list]
+        """One z's row of :meth:`set_ci_grid`."""
+        return self.set_ci_grid(xs, ys_list, [z])[0]
 
     def independent(self, x: VariableId, y: VariableId, z=()) -> bool:
         return self.ci(x, y, z).independent
@@ -42,7 +47,7 @@ class G2Tester(CiTester):
     ``ci`` and ``set_ci`` share one cache. Keys are the sorted sides, swapped
     into order, plus the sorted conditioning set, so x,y and y,x collapse and
     ``ci(x, y, z)`` and ``set_ci([y], [x], z)`` cost one test between them.
-    ``set_ci_many`` prefetches its new tests under their one z, the empty z
+    ``set_ci_grid`` prefetches its new tests, under any z's, the empty one
     too, then answers each from the cache or, if new, through ``set_ci``.
     """
 
@@ -68,15 +73,17 @@ class G2Tester(CiTester):
             self.n_tests += 1
         return self._cache[key]
 
-    def set_ci_many(self, xs, ys_list, z=()) -> list:
-        xt, zt = tuple(sorted(xs)), tuple(sorted(z))
+    def set_ci_grid(self, xs, ys_list, zs) -> list:
+        xt = tuple(sorted(xs))
         sides = [tuple(sorted(ys)) for ys in ys_list]
-        keys = [(s, xt, zt) if s < xt else (xt, s, zt) for s in sides]
-        todo = dict.fromkeys(s for s, k in zip(sides, keys)
-                             if k not in self._cache)
+        keys = [[(s, xt, zt) if s < xt else (xt, s, zt) for s in sides]
+                for zt in (tuple(sorted(z)) for z in zs)]
+        todo = dict.fromkeys((s, k[2]) for row in keys for s, k in zip(
+            sides, row) if k not in self._cache)
         if len(todo) > 1:
-            prefetch(self.ds, xt, todo, zt)
-        return [self._cache.get(key) or self.set_ci(*key) for key in keys]
+            prefetch(self.ds, xt, todo)
+        return [[self._cache.get(key) or self.set_ci(*key) for key in row]
+                for row in keys]
 
 
 def _set_key(xs, ys, z) -> tuple:

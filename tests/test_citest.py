@@ -665,20 +665,19 @@ def _marginal_tables(draw):
 @given(_marginal_tables())
 def test_marginal_table_equals_kernel_for_every_ordered_pair(ds):
     # Both orders of a pair, alone and in one ranking batch per variable,
-    # equal the kernel; the planes count every ordered pair's table, as a
-    # lone side or stacked in the batch, cell for cell like the bincount.
+    # equal the kernel; the planes count every ordered pair's table cell for
+    # cell like the bincount.
     for x in range(ds.n_vars):
         others = [y for y in range(ds.n_vars) if y != x]
         batch = G2Tester(_cold(ds), CiConfig()).set_ci_many(
             (x,), [(y,) for y in others])
-        stack = citest._plane_counts(ds, (x,), [(y,) for y in others], ())
-        ends = np.cumsum([ds.arity(y) for y in others])[:-1]
-        for y, res, rows in zip(others, batch, np.split(stack, ends)):
+        for y, res in zip(others, batch):
             counts, ref = _kernel_only(ds, (x,), (y,))
             assert g2_test(ds, x, y) == ref
             assert res == _kernel_only(ds, *sorted([(x,), (y,)]))[1]
+            rows = citest._plane_counts(ds, (x,), (y,), ())
             assert (rows.T == counts[:, :, 0]).all()
-            got = citest._plane_counts(ds, (y,), [(x,)], ())
+            got = citest._plane_counts(ds, (y,), (x,), ())
             assert (got.reshape(counts.shape) == counts).all()
 
 
@@ -783,7 +782,7 @@ def test_plane_tables_equal_kernel(case):
             if len(a) == len(b) == 1:
                 assert g2_test(ds, a[0], b[0], z) == ref
             if _counter(ds, a, b, zt) == "planes":
-                got = citest._plane_counts(ds, b, [a], zt)
+                got = citest._plane_counts(ds, b, a, zt)
                 assert (got.reshape(counts.shape) == counts).all()
 
 
@@ -892,10 +891,10 @@ def test_nat_tables_score_each_table_as_if_alone(counts):
 
 
 def test_prefetched_result_is_read_by_its_own_test_only():
-    # A result waits under its conditioning set, the empty one too, and its
-    # orientation, whichever side was the batch's common one: a test under
-    # another z, or with the sides swapped, counts afresh, and the test
-    # itself takes the result out of the memo.
+    # A result waits in the stash under its whole test, the empty z too,
+    # whichever side was the batch's common one: the swapped test counts
+    # afresh and leaves it waiting, each z's result is read by its own test
+    # only, and the test takes its result out of the stash.
     rng = np.random.default_rng(5)
     ds = build_dataset({f"v{i}": rng.integers(0, 2, 400) for i in range(7)})
     a, b = (0,), (1, 2)
@@ -903,30 +902,36 @@ def test_prefetched_result_is_read_by_its_own_test_only():
         cases = [(a, b, z), (a, b, other), (b, a, z)]
         refs = [set_ci(_cold(ds), *case) for case in cases]
         assert refs[0].statistic != refs[1].statistic  # a misread would show
-        citest.prefetch(ds, common, [side], z)
-        assert (a, b) in ds._memo[z]
-        assert set_ci(ds, *cases[1]) == refs[1]
-        citest.prefetch(ds, common, [side], z)
+        citest.prefetch(ds, common, [(side, z), (side, other)])
+        assert set(ds._stash) == {(a, b, z), (a, b, other)}
         assert set_ci(ds, *cases[2]) == refs[2]
-        assert (a, b) in ds._memo[z]  # the swapped test left it waiting
+        assert set(ds._stash) == {(a, b, z), (a, b, other)}
+        assert set_ci(ds, *cases[1]) == refs[1]
+        assert set(ds._stash) == {(a, b, z)}
         assert set_ci(ds, *cases[0]) == refs[0]
-        assert all(isinstance(key, str) for key in ds._memo[z])
+        assert not ds._stash
 
 
 @pytest.mark.parametrize("batch_words", [1, 250, citest._BATCH_WORDS])
 def test_prefetch_in_chunks_answers_like_lone_tests(monkeypatch, batch_words):
-    # 400 rows are 7 words a plane, so under a 4-state z a binary side of
-    # x = v3 ANDs 112 words and a 4-state one 224: chunks of one side, of
-    # two with a remainder, or each group's whole stack; the empty z ANDs a
-    # quarter as many. Sides fall before and after x in each test's order.
+    # 400 rows are 7 words a plane, so under a 4-state z the head of x = v3
+    # is 56 words: a binary side ANDs two z's at 250 words and a 4-state
+    # side one, each alone at 1 word, every group whole at the default.
+    # z's of 1, 2, 3, 4 and 6 states (v10 is ternary) fall in five groups,
+    # sides before and after x in each test's order; only the asked tests
+    # of the grid wait in the stash, and each answers like a lone test.
     rng = np.random.default_rng(8)
-    ds = build_dataset({f"v{i}": rng.integers(0, 2, 400) for i in range(9)})
+    cols = {f"v{i}": rng.integers(0, 2, 400) for i in range(10)}
+    ds = build_dataset({**cols, "v10": rng.integers(0, 3, 400)})
     xt = (3,)
     sides = [(0,), (1,), (2,), (4,), (5,), (1, 2), (4, 5), (0, 6)]
-    tests = [(s, xt) if s < xt else (xt, s) for s in sides]
+    zs = [(), (7,), (7, 8), (8, 9), (7, 9), (10,), (9, 10)]
+    asked = [(s, zt) for i, zt in enumerate(zs) for j, s in enumerate(sides)
+             if (i + j) % 3]
+    tests = [((s, xt) if s < xt else (xt, s)) + (zt,) for s, zt in asked]
+    refs = [set_ci(_cold(ds), *test) for test in tests]
     monkeypatch.setattr(citest, "_BATCH_WORDS", batch_words)
-    for zt in ((7, 8), ()):
-        refs = [set_ci(_cold(ds), *test, zt) for test in tests]
-        citest.prefetch(ds, xt, sides, zt)
-        assert all(test in ds._memo[zt] for test in tests)
-        assert [set_ci(ds, *test, zt) for test in tests] == refs
+    citest.prefetch(ds, xt, asked)
+    assert set(ds._stash) == set(tests)
+    assert [set_ci(ds, *test) for test in tests] == refs
+    assert not ds._stash

@@ -239,11 +239,17 @@ def test_rerun_bad_manifest_returns_error(tmp_path, capsys, manifest):
     ["eval", "--found", "input.json", "--truth", "truth.json"]],
     ids=["discover-meta", "select-meta", "bench-sweep", "eval-found"])
 def test_json_input_that_is_not_an_object_returns_error(tmp_path, argv):
+    _assert_input_is_an_error(tmp_path, argv, {
+        "discover": '["a"]', "select": '["a"]', "bench": "[1]",
+        "eval": "[]"}[argv[0]])
+
+
+def _assert_input_is_an_error(tmp_path, argv, text):
+    """``python -m clcd argv`` on input.json holding ``text`` exits 1 with
+    ``error:``, no traceback and no output directory."""
     (tmp_path / "data.csv").write_text("a,b\n0,1\n1,0\n")
     (tmp_path / "truth.json").write_text("{}")
-    (tmp_path / "input.json").write_text(
-        {"discover": '["a"]', "select": '["a"]', "bench": "[1]",
-         "eval": "[]"}[argv[0]])
+    (tmp_path / "input.json").write_text(text)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-m", "clcd", *argv, "--out", "o"],
                           cwd=tmp_path, env=env, capture_output=True,
@@ -251,6 +257,17 @@ def test_json_input_that_is_not_an_object_returns_error(tmp_path, argv):
     assert done.returncode == 1
     assert "error:" in done.stderr and "Traceback" not in done.stderr
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["eval", "--found", "input.json", "--truth", "truth.json"],
+     '{"common": [1]}'),
+    (["eval", "--found", "input.json", "--truth", "truth.json"],
+     '{"specific": []}'),
+    (["bench", "--sweep", "input.json"], '{"p_c": 1}')],
+    ids=["eval-common-of-ints", "eval-specific-list", "bench-scalar-grid"])
+def test_json_object_of_the_wrong_shape_returns_error(tmp_path, argv, text):
+    _assert_input_is_an_error(tmp_path, argv, text)
 
 
 @pytest.mark.parametrize("pc,pm", [(0, 0), (0, 1), (1, 0), (1, 1)])

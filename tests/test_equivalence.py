@@ -12,12 +12,14 @@ from clcd.discovery import clcd
 from clcd.equivalence import (
     EquivalencePair,
     contains_equivalent_info,
+    equivalent_info,
     find_equivalences,
 )
-from clcd.mb import CiTester, G2Tester, hiton_pc
+from clcd import citest
+from clcd.mb import CiTester, G2Tester, hiton_pc, subsets
 from clcd.selection import clcd_fs
-from clcd.synth import (BayesNet, GenConfig, generate, inject_equivalence,
-                        sample)
+from clcd.synth import (BayesNet, DsepTester, GenConfig, generate,
+                        inject_equivalence, random_net, sample)
 from conftest import bsc, build_dataset, is_relabelling_cpt
 
 
@@ -204,7 +206,7 @@ def test_injected_duplicate_of_pc_member_pairs_with_it(seed):
 class _LoopingTester(G2Tester):
     """A G2Tester that answers batches through ``set_ci`` alone."""
 
-    set_ci_many = CiTester.set_ci_many
+    set_ci_grid = CiTester.set_ci_grid
 
 
 @pytest.mark.parametrize("seed", [1, 3])
@@ -226,3 +228,88 @@ def test_batched_pipeline_equals_looping_tester(seed):
             seen.append((out.ei, doc(out, data), tester.n_tests))
         assert seen[0] == seen[1]
         assert sum(map(len, seen[0][0].values())) > 0
+
+
+def _per_z_scan(tester, x, pc_x, candidates, max_z):
+    """The per-Z scan that ``find_equivalences`` batches, kept as its
+    reference: each test asked alone, one external set Z at a time."""
+    pc = sorted(set(pc_x) - {x})
+    pool = [c for c in sorted(set(candidates) - set(pc) - {x})
+            if not tester.set_independent((x,), (c,))]
+    found = []
+    for z in subsets(pool, max_z):
+        sides = [s for s in subsets(pc, max_z)
+                 if not tester.set_independent((x,), s)]
+        if not sides or tester.set_independent((x,), z):
+            continue
+        found += [EquivalencePair(target=x, s=frozenset(s), z=frozenset(z))
+                  for s in sides if tester.set_independent((x,), s, z)
+                  and tester.set_independent((x,), z, s)]
+    return found
+
+
+def _scan_data(seed):
+    # x = v0 with binary and ternary neighbours v1-v3, a relabelled copy of
+    # v1 and noisy copies of v2 and v3 outside them, and pure noise v7-v8.
+    rng = np.random.default_rng(seed)
+    n = 600
+
+    def noisy(col, keep, arity):
+        return np.where(rng.random(n) < keep, col % arity,
+                        rng.integers(0, arity, n))
+
+    x = rng.integers(0, 2, n)
+    cols = {"v0": x, "v1": noisy(x, 0.6, 2), "v2": noisy(x, 0.5, 3),
+            "v3": noisy(x, 0.4, 2)}
+    cols.update(v4=1 - cols["v1"], v5=noisy(cols["v2"], 0.7, 3),
+                v6=noisy(cols["v3"], 0.8, 2), v7=rng.integers(0, 3, n),
+                v8=rng.integers(0, 2, n))
+    return build_dataset(cols)
+
+
+@pytest.mark.parametrize("batch_words", [1, citest._BATCH_WORDS])
+@pytest.mark.parametrize("max_z", [1, 2])
+@pytest.mark.parametrize("pc_x, candidates", [
+    ([1, 2, 3], range(9)),        # pairs found; z's of 2, 3, 4, 6, 9 states
+    ([1, 2, 3], [1, 2, 3]),       # empty pool
+    ([7, 8], range(9)),           # no dependent side
+    ([1, 2, 3], [0, 1, 7, 8]),    # no dependent z: the prefilter drops all
+])
+def test_batched_scan_equals_per_z_scan(monkeypatch, batch_words, max_z,
+                                        pc_x, candidates):
+    # The same pairs, in order, from the same distinct tests as the per-Z
+    # reference on a cold copy; no counted result outlives the scan.
+    monkeypatch.setattr(citest, "_BATCH_WORDS", batch_words)
+    for seed in (0, 1):
+        ds = _scan_data(seed)
+        batched = G2Tester(ds, CiConfig())
+        alone = G2Tester(dataclasses.replace(ds), CiConfig())
+        found = find_equivalences(batched, 0, pc_x, candidates, max_z)
+        assert found == _per_z_scan(alone, 0, pc_x, candidates, max_z)
+        assert batched._cache.keys() == alone._cache.keys()
+        assert not ds._stash
+        if pc_x == [1, 2, 3] and len(candidates) == 9:
+            assert any(p.z == {4} and p.s == {1} for p in found)
+
+
+def test_no_dependent_z_asks_no_screen():
+    # Every z independent of x: the side and z checks are asked, nothing else.
+    tester = G2Tester(_scan_data(0), CiConfig())
+    sides, zs = [(1,), (2,), (1, 2)], [(7,), (8,), (7, 8)]
+    assert equivalent_info(tester, (0,), sides, zs) == []
+    assert tester._cache.keys() == {((0,), v, ()) for v in sides + zs}
+
+
+def test_dsep_scan_loops_like_per_z_scan():
+    # The oracle answers the grid through the protocol's own loop.
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        net = random_net(10, 0.35, rng)
+        pc = [v for v in range(10) if v != 4 and not
+              any(DsepTester(net).independent(v, 4, z) for z in
+                  subsets(sorted(set(range(10)) - {v, 4}), 1))]
+        for max_z in (1, 2):
+            batched, alone = DsepTester(net), DsepTester(net)
+            assert (find_equivalences(batched, 4, pc, range(10), max_z)
+                    == _per_z_scan(alone, 4, pc, range(10), max_z))
+            assert batched._cache.keys() == alone._cache.keys()

@@ -215,7 +215,7 @@ def test_set_ci_many_equals_set_ci_one_by_one(monkeypatch):
     # x = v3 against sides on both orientations, duplicates, one side the
     # tester answered before and one past the planes' size rule (4-level
     # w); each answer equals a lone set_ci on a cold copy, and the batch
-    # counts each distinct test once and leaves no result in the memo.
+    # counts each distinct test once and leaves no result in the stash.
     rng = np.random.default_rng(4)
     cols = {f"v{i}": rng.integers(0, 2, 400) for i in range(8)}
     cols["w"] = rng.integers(0, 4, 400)
@@ -233,7 +233,7 @@ def test_set_ci_many_equals_set_ci_one_by_one(monkeypatch):
         assert (batched.set_ci_many((3,), sides, z)
                 == [alone.set_ci((3,), s, z) for s in sides])
         assert batched.n_tests == alone.n_tests == 5
-        assert all(isinstance(k, str) for k in ds._memo[tuple(sorted(z))])
+        assert not ds._stash
     assert max(stacks) == 2  # (1, 2) and (2, 4) shared one stack
 
 
