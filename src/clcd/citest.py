@@ -8,18 +8,19 @@ mutual information in bits is ``set_ci(...).statistic / (2·n·ln 2)``.
 
 A table whose cells times the words of one bit plane fit in the rows is
 AND-popcounted from stacked bit planes (one per variable and level; a set of
-several variables ANDs its members' planes in :func:`_fold`'s order): a lone
-test by :func:`_plane_counts`, one side against the fold of the other and z;
-a batch by :func:`prefetch`, many sides against the folds of a common side
-with each of many z's, the empty one too. Any other table is built in O(n)
+several variables ANDs its members' planes in :func:`_fold`'s order) by
+:func:`_plane_tables`: a lone test's x against the fold of y and z, and in
+:func:`prefetch` a batch's sides against the folds of a common side with
+each of many z's, the empty one too. Any other table is built in O(n)
 by one ``np.bincount`` of mixed-radix codes (:func:`_nat_kernel`), its
 strata first compacted to the observed ones, in code order, when it has more
 cells than the data has rows, and its one-row strata dropped, their one
 exact +0.0 term each put back in place. Cells are read back in (stratum, x,
 y) order and empty strata add nothing, so every path gives identical bits.
-The dataset keeps the last conditioning set's fold, compaction and planes,
-so tests under one set build each once, and a batch's results, each table
-summed alone, in one stash keyed by the whole test until the test takes it.
+The dataset keeps the kernel's fold and compaction of the last conditioning
+set, so kernel tests under one set build each once, and a batch's results,
+each table summed alone, in one stash keyed by the whole test until the
+test takes it.
 """
 
 from __future__ import annotations
@@ -158,29 +159,22 @@ def _fold(ds: Dataset,
     return code, states
 
 
-def _memo_entry(ds: Dataset, zt: tuple[VariableId, ...]) -> dict:
-    """``ds._memo``'s one entry, for sorted ``zt``; a new set replaces it.
-    It holds z's state count and its fold, compaction (kept rows and one-row
-    strata dropped before each kept one, when some stratum has one row) and
-    ANDed bit planes, each built on first need and read-only."""
-    if zt not in ds._memo:
-        ds._memo.clear()
-        ds._memo[zt] = {"n_states": math.prod(map(ds.arity, zt))}
-    return ds._memo[zt]
-
-
 def _strata(ds: Dataset, zt: tuple[VariableId, ...],
             cells: int) -> tuple | None:
     """Stratum code per row of sorted ``zt`` and the stratum count, or None
     past _MAX_TABLE_CELLS, judged before pruning. With ``cells`` cells per
     stratum and more cells than rows, the observed strata are compacted by
     ``np.unique`` in code order and the one-row strata dropped: the kept
-    rows and :func:`_nat_tables`' ``before`` follow, or None and None."""
-    entry = _memo_entry(ds, zt)
-    if "code" not in entry:
-        entry["code"] = _fold(ds, zt)[0]
+    rows and :func:`_nat_tables`' ``before`` follow, or None and None.
+    ``ds._memo`` holds one entry, for the last ``zt``: its fold and state
+    count, and its compaction once needed, each array read-only."""
+    if zt not in ds._memo:
+        code, n_states = _fold(ds, zt)
         if len(zt) > 1:  # a new buffer; a single column is read-only already
-            entry["code"].setflags(write=False)
+            code.setflags(write=False)
+        ds._memo.clear()
+        ds._memo[zt] = {"code": code, "n_states": n_states}
+    entry = ds._memo[zt]
     code, n_states = entry["code"], entry["n_states"]
     if min(n_states, ds.n_rows) * cells > _MAX_TABLE_CELLS:
         return None
@@ -232,22 +226,15 @@ def _composite(words: np.ndarray, offsets: np.ndarray,
     return head
 
 
-def _plane_counts(ds: Dataset, xt: tuple, yt: tuple,
-                  zt: tuple) -> np.ndarray:
-    """AND-popcounts of the planes of ``yt``'s states (rows) by the states
-    of the fold of ``xt + zt`` (columns), for sorted ``zt``: the
-    ``(r_y, r_x, n_strata)`` table of one test. z's planes stay in its memo
-    entry."""
-    words, offsets = _planes(ds)
-    head = _composite(words, offsets, xt)
-    if zt:
-        entry = _memo_entry(ds, zt)
-        if "planes" not in entry:
-            entry["planes"] = _composite(words, offsets, zt)
-            entry["planes"].setflags(write=False)
-        head = (head[:, None] & entry["planes"]).reshape(-1, words.shape[1])
-    rows = _composite(words, offsets, yt)
-    return np.bitwise_count(rows[:, None] & head).sum(axis=-1, dtype=np.int64)
+def _plane_tables(stack: np.ndarray, heads: np.ndarray, rs: int, rx: int,
+                  nz: int) -> np.ndarray:
+    """AND-popcounts of each side's ``rs`` planes in ``stack`` by each z's
+    ``rx · nz`` planes of the fold of x and z in ``heads``: one int64
+    ``(rs, rx, nz)`` table per side and z, side-major."""
+    counts = np.bitwise_count(stack[:, None] & heads).sum(axis=-1,
+                                                          dtype=np.int64)
+    return counts.reshape(-1, rs, len(heads) // (rx * nz), rx * nz).swapaxes(
+        1, 2).reshape(-1, rs, rx, nz)
 
 
 def _on_planes(ds: Dataset, cells: int) -> bool:
@@ -260,10 +247,10 @@ def prefetch(ds: Dataset, xt: tuple, tests) -> None:
     """Count and score ``xt ⊥ s | z`` for the (s, z) pairs of ``tests`` that
     the planes count, s and z sorted, z maybe empty. Each side shape's planes
     are stacked once and ANDed with the stacked heads ``fold(xt + z)`` of a
-    chunk of z's of one state count: one AND-popcount of at most _BATCH_WORDS
-    words (z's chunked so that one side fits, then sides so that the chunk
-    does) and one :func:`_nat_tables` call, each table in the order
-    ``(min(xt, s), max(xt, s))``. Each asked (nat, dof) waits in
+    chunk of z's of one state count: one :func:`_plane_tables` call on at
+    most _BATCH_WORDS words (z's chunked so that one side fits, then sides
+    so that the chunk does) and one :func:`_nat_tables` call, each table in
+    the order ``(min(xt, s), max(xt, s))``. Each asked (nat, dof) waits in
     ``ds._stash`` under its whole test for :func:`_nat` to take it."""
     rx, n_words = math.prod(map(ds.arity, xt)), -(-ds.n_rows // 64)
     sides, zs, wanted, planes = {}, {}, dict.fromkeys(tests), _planes(ds)
@@ -287,10 +274,8 @@ def prefetch(ds: Dataset, xt: tuple, tests) -> None:
             if not j:  # a new chunk of z's
                 heads = np.concatenate([_composite(*planes, xt + zt)
                                         for zt in chunk])
-            counts = np.bitwise_count(stack[j * rs:(j + step) * rs, None]
-                                      & heads).sum(axis=-1, dtype=np.int64)
-            tables = counts.reshape(len(part), rs, len(chunk), -1).swapaxes(
-                1, 2).reshape(-1, rs, rx, nz)
+            tables = _plane_tables(stack[j * rs:(j + step) * rs], heads, rs,
+                                   rx, nz)
             flip = np.repeat([xt < s for s in part], len(chunk))
             if flip.any():  # those tables into (xt, s) order
                 tables = (np.where(flip[:, None, None, None], tables.swapaxes(
@@ -319,11 +304,12 @@ def _nat(ds: Dataset, xt: tuple, yt: tuple,
     result comes first, then the planes, then the kernel."""
     if (xt, yt, zt) in ds._stash:  # left by prefetch
         return ds._stash.pop((xt, yt, zt))
-    entry = _memo_entry(ds, zt)
     rx, ry = math.prod(map(ds.arity, xt)), math.prod(map(ds.arity, yt))
-    if _on_planes(ds, rx * ry * entry["n_states"]):
-        return _nat_tables(_plane_counts(ds, yt, xt, zt).reshape(
-            1, rx, ry, entry["n_states"]))[0]
+    nz = math.prod(map(ds.arity, zt))
+    if _on_planes(ds, rx * ry * nz):
+        planes = _planes(ds)
+        return _nat_tables(_plane_tables(_composite(*planes, xt), _composite(
+            *planes, yt + zt), rx, ry, nz))[0]
     xcode, rx = _fold(ds, xt)
     ycode, ry = _fold(ds, yt)
     if len(xt + yt) > 2 and rx * ry > MAX_CELLS_PER_STRATUM:

@@ -91,7 +91,7 @@ class RunOutputs:
         self.out_dir = Path(out_dir)
         self.files = files
 
-    def flush(self) -> list:
+    def flush(self) -> None:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         written = []
         try:
@@ -103,7 +103,6 @@ class RunOutputs:
             for path in written:
                 path.unlink(missing_ok=True)
             raise
-        return written
 
 
 def _common_doc(common: dict, names) -> list:
@@ -349,29 +348,41 @@ def cmd_eval(args) -> tuple:
 
 def cmd_bench(args) -> tuple:
     sweep = _read_object(args.sweep)
-    for key in "p_c p_m algorithms mb_size_range eq_copies_range".split():
-        if not isinstance(sweep.get(key, []), list):
-            raise ValueError(f"sweep field {key!r} must be a list")
+
+    def get(key, default):
+        """The sweep's ``key``, or ``default`` when absent; a ValueError
+        unless it has the default's JSON type (a list's items, its first
+        item's). An int passes for a float; a bool is no number."""
+        value, listed = sweep.get(key, default), isinstance(default, list)
+        like = default[0] if listed else default
+        kinds = (int, float) if type(like) is float else (type(like),)
+        if isinstance(value, list) != listed or any(
+                type(v) not in kinds for v in (value if listed else [value])):
+            raise ValueError(f"sweep field {key!r} must be "
+                             f"{'a list of ' * listed}"
+                             f"{' or '.join(k.__name__ for k in kinds)}")
+        return value
+
     template = GenConfig(
-        n_labels=sweep.get("n_labels", 4),
-        n_features=sweep.get("n_features", 40),
-        n_samples=sweep.get("n_samples", 2000),
-        mb_size_range=tuple(sweep.get("mb_size_range", (3, 5))),
-        eq_copies_range=tuple(sweep.get("eq_copies_range", (2, 3))),
-        share_prob=sweep.get("share_prob", 0.5),
-        arity=sweep.get("arity", 2),
-        seed=sweep.get("seed", 0),
+        n_labels=get("n_labels", 4),
+        n_features=get("n_features", 40),
+        n_samples=get("n_samples", 2000),
+        mb_size_range=tuple(get("mb_size_range", [3, 5])),
+        eq_copies_range=tuple(get("eq_copies_range", [2, 3])),
+        share_prob=get("share_prob", 0.5),
+        arity=get("arity", 2),
+        seed=get("seed", 0),
         p_c=0.0, p_m=0.0)
-    cfg = CiConfig(alpha=sweep.get("alpha", 0.05),
-                   max_cond_size=sweep.get("max_cond_size", 3))
+    cfg = CiConfig(alpha=get("alpha", 0.05),
+                   max_cond_size=get("max_cond_size", 3))
     rows, details = run_benchmark(
         template,
-        p_c_grid=sweep.get("p_c", [0.0]),
-        p_m_grid=sweep.get("p_m", [0.0]),
-        algorithms=tuple(sweep.get("algorithms", ALGORITHMS)),
+        p_c_grid=get("p_c", [0.0]),
+        p_m_grid=get("p_m", [0.0]),
+        algorithms=tuple(get("algorithms", list(ALGORITHMS))),
         n_seeds=args.seeds,
         cfg=cfg,
-        max_z=sweep.get("max_z", 1))
+        max_z=get("max_z", 1))
     files = {"report.csv": render_benchmark_csv(rows),
              "details.json": _dump_json(details)}
     return files, template.seed, [args.sweep]
@@ -389,6 +400,8 @@ def cmd_rerun(args) -> list:
         raise ValueError("manifest has no argv list of strings")
     if not stored:
         raise SystemExit("manifest records no argv")
+    if stored[0] == "rerun":
+        raise ValueError("manifest argv is itself a rerun")
     idx = stored.index("--out") if "--out" in stored else len(stored)
     if idx == len(stored) - 1:
         raise ValueError("manifest argv has no value after --out")

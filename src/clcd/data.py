@@ -23,8 +23,9 @@ class Dataset:
     only the rows it involves. Codes for variable v lie in [0, arities[v]).
     ``is_label`` marks target columns; everything else is a feature.
     The arrays are the dataset's own read-only copies, so what ``citest``
-    derives from them never goes stale. ``_memo``, ``_planes`` and
-    ``_stash`` are ``citest``'s per-dataset caches, and die with the dataset.
+    derives from them never goes stale. ``citest`` caches the bit planes in
+    ``_planes``, the kernel's fold and compaction of the last z in ``_memo``
+    and a batch's waiting results in ``_stash``; all die with the dataset.
     ``codes`` is kept without a copy only when it is already a read-only,
     C-contiguous int64 array that owns its data, as the loaders and
     ``synth.sample`` hand it over. Equality is identity.
@@ -87,7 +88,7 @@ class Dataset:
         return self.codes[v]
 
     def arity(self, v: VariableId) -> int:
-        return int(self.arities[v])
+        return self.arities.item(v)
 
     def id_of(self, name: str) -> VariableId:
         try:

@@ -30,9 +30,9 @@ class EquivalencePair:
         if not self.s or not self.z:
             raise ValueError("both sides must be nonempty")
         if self.s & self.z:
-            raise ValueError("sides must be disjoint")
+            raise ValueError("sides overlap; they must be disjoint")
         if self.target in self.s | self.z:
-            raise ValueError("target cannot appear on either side")
+            raise ValueError("target must not overlap either side")
 
 
 def equivalent_info(tester: CiTester, xs, sides, zs) -> list:
@@ -62,15 +62,12 @@ def contains_equivalent_info(tester: CiTester, target: VariableId,
     """Validated public form of :func:`equivalent_info` for one target.
 
     The library's own scans call :func:`equivalent_info` on sides they build
-    disjoint. This form checks the sides first; the equivalence demo and
-    acceptance criteria 05 and 09 call it on sides they pick by hand.
+    disjoint. This form checks the sides first, as an
+    :class:`EquivalencePair`; the equivalence demo and acceptance criteria
+    05 and 09 call it on sides they pick by hand.
     """
-    s, z = frozenset(s), frozenset(z)
-    if not s or not z:
-        raise ValueError("both sides must be nonempty")
-    if s & z or target in s | z:
-        raise ValueError("target, s and z must not overlap")
-    return bool(equivalent_info(tester, (target,), [s], [z]))
+    pair = EquivalencePair(target=target, s=frozenset(s), z=frozenset(z))
+    return bool(equivalent_info(tester, (target,), [pair.s], [pair.z]))
 
 
 def find_equivalences(tester: CiTester, x: VariableId, pc_x, candidates,

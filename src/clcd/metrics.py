@@ -147,8 +147,6 @@ def br_nb_train(ds: Dataset, feature_subset) -> BrNbModel:
     for f in features:
         if ds.is_label[f]:
             raise ValueError(f"variable {f} is a label, not a feature")
-        if ds.arity(f) < 1:
-            raise ValueError("bad arity")
     n = ds.n_rows
     log_prior = np.empty((len(labels), 2))
     masks = []

@@ -471,8 +471,6 @@ def sample(net: BayesNet, n: int, seed) -> Dataset:
         u = rng.random(n)
         codes[i] = np.minimum((u[:, None] > np.cumsum(rows, axis=1)).sum(axis=1),
                               net.arities[i] - 1)
-    if not any(net.is_label):
-        raise ValueError("network has no label nodes to form a dataset")
     codes.setflags(write=False)
     return Dataset(codes=codes, arities=net.arities,
                    is_label=net.is_label, names=net.names)

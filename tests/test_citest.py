@@ -475,9 +475,10 @@ def _counter(ds, xs, ys, z):
 
 
 def _spy_counters(mp):
-    """Count the calls that reach each counter."""
+    """Count the calls that reach each counter; outside ``prefetch`` the
+    planes count one test a call."""
     seen = Counter()
-    for name, label in (("_plane_counts", "planes"), ("_nat_kernel", "kernel")):
+    for name, label in (("_plane_tables", "planes"), ("_nat_kernel", "kernel")):
         def spy(*args, _fn=getattr(citest, name), _label=label):
             seen[_label] += 1
             return _fn(*args)
@@ -488,6 +489,16 @@ def _spy_counters(mp):
 def _took_kernel(ds, z):
     """True when the memo holds ``z``'s fold, which only the kernel builds."""
     return "code" in ds._memo.get(tuple(sorted(z)), {})
+
+
+def _plane_table(ds, xt, yt, zt=()):
+    """The popcounted ``(r_x, r_y, n_z)`` table of one test, the planes of
+    ``xt`` against those of the fold of ``yt`` and ``zt``."""
+    planes = citest._planes(ds)
+    rx, ry, nz = (math.prod(map(ds.arity, t)) for t in (xt, yt, zt))
+    return citest._plane_tables(citest._composite(*planes, xt),
+                                citest._composite(*planes, yt + zt),
+                                rx, ry, nz)[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -560,8 +571,7 @@ def test_strata_memo_arrays_are_read_only():
                            arities=[2] * 5)
         g2_test(ds, 0, 1, (4, 2, 3))
         (key, entry), = ds._memo.items()
-        assert key == (2, 3, 4)
-        assert _took_kernel(ds, key) and "planes" not in entry
+        assert key == (2, 3, 4) and _took_kernel(ds, key)
         arrays = {k: v for k, v in entry.items() if isinstance(v, np.ndarray)}
         assert arrays.keys() == keys
         for arr in arrays.values():
@@ -595,11 +605,9 @@ def test_dataset_with_strata_memo_is_freed():
     ds = build_dataset({f"v{i}": rng.integers(0, 2, 20) for i in range(5)},
                        arities=[2] * 5)
     g2_test(ds, 0, 1, (2, 3, 4))
-    assert _took_kernel(ds, (2, 3, 4))
-    g2_test(ds, 0, 1, (2, 3))  # 4 strata x 4 cells x 1 word <= 20 rows
-    assert "planes" in ds._memo[(2, 3)]
-    g2_test(ds, 0, 1, (2, 3, 4))  # freed while it holds a pruned entry
     assert "rows" in ds._memo[(2, 3, 4)]
+    g2_test(ds, 0, 1, (2, 3))  # 4 strata x 4 cells x 1 word <= 20 rows
+    assert ds._planes  # freed while it holds a pruned entry and the planes
     ref = weakref.ref(ds)
     del ds
     gc.collect()
@@ -675,10 +683,9 @@ def test_marginal_table_equals_kernel_for_every_ordered_pair(ds):
             counts, ref = _kernel_only(ds, (x,), (y,))
             assert g2_test(ds, x, y) == ref
             assert res == _kernel_only(ds, *sorted([(x,), (y,)]))[1]
-            rows = citest._plane_counts(ds, (x,), (y,), ())
-            assert (rows.T == counts[:, :, 0]).all()
-            got = citest._plane_counts(ds, (y,), (x,), ())
-            assert (got.reshape(counts.shape) == counts).all()
+            assert (_plane_table(ds, (x,), (y,)) == counts).all()
+            got = _plane_table(ds, (y,), (x,))
+            assert (got.swapaxes(0, 1) == counts).all()
 
 
 @settings(max_examples=200, deadline=None)
@@ -772,7 +779,9 @@ def _plane_tests(draw):
 def test_plane_tables_equal_kernel(case):
     # Every test, in both orientations, equals the kernel's result through
     # set_ci and g2_test, and a popcounted table equals the bincount table
-    # cell for cell, so a permuted composite order cannot hide in a sum.
+    # cell for cell, so a permuted composite order cannot hide in a sum: as
+    # a lone test counts it, and as a batch does, the other side's planes
+    # against the fold of this side and z.
     ds, tests = case
     for xs, ys, z in tests:
         xt, yt, zt = (tuple(sorted(t)) for t in (xs, ys, z))
@@ -782,8 +791,9 @@ def test_plane_tables_equal_kernel(case):
             if len(a) == len(b) == 1:
                 assert g2_test(ds, a[0], b[0], z) == ref
             if _counter(ds, a, b, zt) == "planes":
-                got = citest._plane_counts(ds, b, a, zt)
-                assert (got.reshape(counts.shape) == counts).all()
+                assert (_plane_table(ds, a, b, zt) == counts).all()
+                got = _plane_table(ds, b, a, zt)
+                assert (got.swapaxes(0, 1) == counts).all()
 
 
 def test_size_rule_picks_the_counter(monkeypatch):
@@ -808,25 +818,46 @@ def test_size_rule_picks_the_counter(monkeypatch):
 
 
 def test_plane_memo_is_one_read_only_entry():
-    # 4 strata x 4 cells x 4 words <= 200 rows: the planes count the test and
-    # the entry holds only z's planes; a kernel test under the same z adds
-    # the fold to that entry, and a new z replaces it.
+    # 4 strata x 4 cells x 4 words <= 200 rows: the planes count the test
+    # from the dataset's read-only planes and leave the memo empty; a kernel
+    # test under the same z makes the memo's one entry, its fold read-only,
+    # and a kernel test under a new z replaces it.
     rng = np.random.default_rng(6)
     ds = build_dataset({f"v{i}": rng.integers(0, 2, 200) for i in range(8)})
     set_ci(ds, [0], [1], [3, 2])
-    (key, entry), = ds._memo.items()
-    assert key == (2, 3) and set(entry) == {"n_states", "planes"}
-    planes = entry["planes"]
-    assert planes.shape == (4, 4) and planes.dtype == np.uint64
-    assert not planes.flags.writeable
-    with pytest.raises(ValueError):
-        planes[0] = 0
+    assert not ds._memo
+    (words, _), = ds._planes
+    assert words.shape == (16, 4) and not words.flags.writeable
     set_ci(ds, [0, 4, 5], [1, 6], [2, 3])
     (key, entry), = ds._memo.items()
-    assert key == (2, 3) and entry["planes"] is planes
-    assert _took_kernel(ds, key)
-    set_ci(ds, [0], [1], [4, 2])
+    assert key == (2, 3) and set(entry) == {"code", "n_states"}
+    assert not entry["code"].flags.writeable
+    with pytest.raises(ValueError):
+        entry["code"][0] = 0
+    set_ci(ds, [0, 5], [1, 6], [4, 2])
     assert list(ds._memo) == [(2, 4)]
+
+
+def test_plane_test_leaves_the_kernel_memo_in_place():
+    # 16 strata x 4 cells > 40 rows: the kernel builds z's fold and
+    # compaction. Plane-counted tests under other z's, the empty one too,
+    # leave that entry as it was, and the next kernel test under z reads
+    # the same arrays and answers like a cold dataset.
+    rng = np.random.default_rng(4)
+    ds = build_dataset({f"v{i}": rng.integers(0, 2, 40) for i in range(7)},
+                       arities=[2] * 7)
+    z = (2, 3, 4, 5)
+    g2_test(ds, 0, 1, z)
+    (key, entry), = ds._memo.items()
+    assert key == z and "inverse" in entry
+    arrays = dict(entry)
+    for other in ((2,), (3, 6), ()):
+        assert _counter(ds, (0,), (1,), other) == "planes"
+        g2_test(ds, 0, 1, other)
+        assert list(ds._memo) == [z] and ds._memo[z] is entry
+    assert g2_test(ds, 0, 6, z) == g2_test(_cold(ds), 0, 6, z)
+    assert ds._memo[z] is entry
+    assert all(entry[k] is v for k, v in arrays.items())
 
 
 def test_plane_memo_warm_matches_cold_for_sets_of_one_size():

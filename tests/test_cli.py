@@ -219,13 +219,14 @@ def test_rerun_requires_argv(tmp_path):
 
 @pytest.mark.parametrize("manifest", [
     None, '{"subcommand": "gen"}', "{", '{"argv": ["gen", "--out"]}',
-    '{"argv": null}', '{"argv": ["gen", 3]}', "[]"],
+    '{"argv": null}', '{"argv": ["gen", 3]}', "[]",
+    '{"argv": ["rerun", "--manifest", "SELF", "--out", "o"]}'],
     ids=["missing", "no-argv", "malformed", "out-without-value", "null-argv",
-         "non-string-argv", "not-an-object"])
+         "non-string-argv", "not-an-object", "rerun-of-itself"])
 def test_rerun_bad_manifest_returns_error(tmp_path, capsys, manifest):
     path = tmp_path / "manifest.json"
     if manifest is not None:
-        path.write_text(manifest)
+        path.write_text(manifest.replace('"SELF"', json.dumps(str(path))))
     rc = main(["rerun", "--manifest", str(path), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
@@ -264,8 +265,15 @@ def _assert_input_is_an_error(tmp_path, argv, text):
      '{"common": [1]}'),
     (["eval", "--found", "input.json", "--truth", "truth.json"],
      '{"specific": []}'),
-    (["bench", "--sweep", "input.json"], '{"p_c": 1}')],
-    ids=["eval-common-of-ints", "eval-specific-list", "bench-scalar-grid"])
+    (["bench", "--sweep", "input.json"], '{"p_c": 1}'),
+    (["bench", "--sweep", "input.json"], '{"n_labels": "x"}'),
+    (["bench", "--sweep", "input.json"], '{"alpha": "0.1"}'),
+    (["bench", "--sweep", "input.json"], '{"max_z": "2"}'),
+    (["bench", "--sweep", "input.json"], '{"seed": 1.5}'),
+    (["bench", "--sweep", "input.json"], '{"p_c": ["a"]}')],
+    ids=["eval-common-of-ints", "eval-specific-list", "bench-scalar-grid",
+         "bench-string-count", "bench-string-alpha", "bench-string-max-z",
+         "bench-float-seed", "bench-grid-of-strings"])
 def test_json_object_of_the_wrong_shape_returns_error(tmp_path, argv, text):
     _assert_input_is_an_error(tmp_path, argv, text)
 
