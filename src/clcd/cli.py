@@ -85,7 +85,8 @@ def _sha256(path) -> str:
 
 
 class RunOutputs:
-    """A run's rendered files (name -> text), written together at the end."""
+    """A run's rendered files (name -> text), written together at the end
+    as UTF-8; a failed write removes every file begun, its own too."""
 
     def __init__(self, out_dir, files: dict):
         self.out_dir = Path(out_dir)
@@ -97,9 +98,9 @@ class RunOutputs:
         try:
             for name, text in self.files.items():
                 path = self.out_dir / name
-                path.write_text(text)
-                written.append(path)
-        except OSError:
+                written.append(path)  # write_text creates it before it fails
+                path.write_text(text, encoding="utf-8")
+        except BaseException:
             for path in written:
                 path.unlink(missing_ok=True)
             raise
@@ -253,7 +254,7 @@ def cmd_select(args) -> tuple:
 
 def _read_object(path) -> dict:
     """The JSON object a file holds; any other JSON is a ValueError."""
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ValueError(f"{path} does not hold a JSON object")
     return doc
@@ -318,7 +319,7 @@ def cmd_eval(args) -> tuple:
         if args.data is None or args.meta is None:
             raise SystemExit("prediction scoring needs --data and --meta")
         ds = load_dataset(args.data, args.meta)
-        with open(args.selected) as fh:
+        with open(args.selected, encoding="utf-8") as fh:
             feature_names = [ln.strip() for ln in fh if ln.strip()]
         features = [ds.id_of(n) for n in feature_names]
         train, test = split_dataset(ds, args.split,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -103,53 +102,64 @@ def load_dataset(csv_path, meta_path) -> Dataset:
     Integer columns are taken verbatim as codes (arity = max code + 1, gaps
     allowed); any other column is coded by first appearance of each distinct
     string. Blank cells, blank lines, ragged rows and negative integers are
-    hard errors. Lines end in LF or CRLF. A body of plain integers is parsed
-    in one C pass; any other goes column by column, the only path that codes
-    strings or reports errors.
+    hard errors. Both files are read as UTF-8; lines end in LF or CRLF. A
+    body of plain integers is parsed in one vectorised scan of its bytes; any
+    other goes column by column, the only path that codes strings or reports
+    errors.
     """
     meta = json.loads(Path(meta_path).read_text(encoding="utf-8"))
     label_names = meta.get("labels") if isinstance(meta, dict) else None
     if not isinstance(label_names, list) or not all(isinstance(s, str) for s in label_names):
         raise ValueError('metadata must be a JSON object {"labels": [name, ...]}')
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        text = fh.read()
-    header, codes, arities = (_parse_integers(text, label_names)
-                              or _parse_by_column(text, label_names))
+    blob = Path(csv_path).read_bytes()
+    header, codes, arities = (
+        _parse_integers(blob, label_names)
+        or _parse_by_column(blob.decode("utf-8"), label_names))
     codes.setflags(write=False)
     is_label = np.array([name in set(label_names) for name in header])
     return Dataset(codes=codes, arities=arities, is_label=is_label,
                    names=tuple(header))
 
 
-def _parse_integers(text: str, label_names: list) -> tuple | None:
+def _parse_integers(blob: bytes, label_names: list) -> tuple | None:
     """(header, codes, arities) of a CSV whose body is plain integers, or None.
 
-    ``np.loadtxt`` skips blank lines and reads ``+1``, ``007`` and padding
-    that ``int()`` may refuse, so its parse counts only when the body is as
-    long as the plain rendering of what it read: each cell's digits and one
-    separator. A sign, a leading zero, padding or a blank line is longer.
+    Each cell must be 1 to 18 ASCII digits with no leading zero, followed by
+    ``,`` or, at a row's end, LF (optional after the last row). A sign,
+    padding, a quote, a blank line, a ragged row or any other byte gives
+    None, and the per-column path decides. The scan starts at the header's
+    LF, so a separator comes before every cell, and sums the codes one digit
+    place at a time.
     """
-    flat = text.replace("\r\n", "\n")
-    head, _, body = flat.partition("\n")
-    if '"' in flat or "\r" in flat or not body:
-        return None
-    header = next(csv.reader([head]))
-    if len(set(header)) != len(header) or not set(label_names) <= set(header):
+    blob = blob.replace(b"\r\n", b"\n")
+    head, _, body = blob.partition(b"\n")
+    if b'"' in blob or b"\r" in blob or not body:
         return None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(io.StringIO(body), dtype=np.int64,
-                              delimiter=",", comments=None, ndmin=2)
-    except (ValueError, Warning):
+        header = next(csv.reader([head.decode("utf-8")]))
+    except UnicodeDecodeError:
         return None
-    top = int(rows.max())
-    digits = rows.size + sum(int(np.count_nonzero(rows >= 10 ** k))
-                             for k in range(1, len(str(top))))
-    if (rows.shape[1] != len(header) or top == np.iinfo(np.int64).max
-            or len(body) != digits + rows.size - (not body.endswith("\n"))):
-        return None  # at int64's max, the arity top + 1 would overflow
-    codes = np.ascontiguousarray(rows.T)
+    ncols = len(header)
+    if (not ncols or len(set(header)) != ncols
+            or not set(label_names) <= set(header)):
+        return None
+    raw = np.frombuffer(blob if blob.endswith(b"\n") else blob + b"\n",
+                        np.uint8, offset=len(head))  # a separator leads
+    ends = np.array([44] * (ncols - 1) + [10], np.uint8)  # a row's "," and LF
+    seps = np.flatnonzero(raw < 48)  # any byte below "0" ends a cell
+    gaps = np.diff(seps)  # each cell's width plus one
+    if (gaps.size % ncols or raw.max() > 57
+            or gaps.min() < 2 or gaps.max() > 19  # 19 digits can overflow
+            or (raw[seps[1:]].reshape(-1, ncols) != ends).any()
+            or ((raw[:-2] < 48) & (raw[1:-1] == 48) & (raw[2:] > 47)).any()):
+        return None  # the last test finds a 0 that leads a wider cell
+    at = seps[1:]  # each cell's end, moved back one digit a pass
+    at -= 1
+    codes = (raw[at] - 48).reshape(-1, ncols).T.astype(np.int64, order="C")
+    for k in range(2, gaps.max()):  # the k-th digit from each cell's end
+        at -= 1
+        digit = ((raw[at] - 48) * (gaps > k)).reshape(-1, ncols).T
+        codes += digit.astype(np.int64, order="C") * 10 ** (k - 1)
     return header, codes, codes.max(axis=1) + 1
 
 

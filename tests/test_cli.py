@@ -130,6 +130,45 @@ def test_select_and_eval_prediction(tmp_path):
     assert metrics["features"] == selected
 
 
+def test_outputs_are_utf8_whatever_the_locale(tmp_path):
+    data = _gen(tmp_path) / "data.csv"
+    data.write_bytes(data.read_bytes().replace(b"F", "Fé".encode()))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+
+    def run(*argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "clcd", *argv, "--data", "run/data.csv",
+             "--meta", "run/meta.json"],
+            cwd=tmp_path, env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr
+
+    run("select", "--out", "sel")
+    selected = (tmp_path / "sel" / "selected.csv").read_bytes()
+    names = selected.decode("utf-8").split()
+    assert names and all(name.startswith("Fé") for name in names)
+    run("eval", "--selected", "sel/selected.csv", "--out", "ev")
+    assert json.loads((tmp_path / "ev" / "eval.json").read_bytes()
+                      )["features"] == names
+
+
+def test_failed_flush_removes_the_files_it_wrote(tmp_path, monkeypatch):
+    write_text = Path.write_text
+
+    def fail_on_b(path, text, **kwargs):
+        if path.name == "b.txt":  # b.txt is created, then its write fails
+            write_text(path, text[:1], **kwargs)
+            raise ValueError("cannot encode b.txt")
+        return write_text(path, text, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_on_b)
+    outputs = cli.RunOutputs(tmp_path / "out",
+                             {"a.txt": "1\n", "b.txt": "2\n", "c.txt": "3\n"})
+    with pytest.raises(ValueError, match="cannot encode"):
+        outputs.flush()
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_eval_variable_mode(tmp_path):
     out = _gen(tmp_path)
     disc = tmp_path / "disc"

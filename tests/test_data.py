@@ -269,6 +269,10 @@ def test_load_dataset_matches_per_column_reference(tmp_path_factory, text):
     assert _loaded(path, meta) == _loaded(path, meta, one_pass=False)
 
 
+def _refuse_per_column(*args):
+    raise AssertionError("per-column path used")
+
+
 def test_generated_csv_takes_the_one_pass_parse(tmp_path, monkeypatch):
     out = tmp_path / "gen"
     assert main(["gen", "--labels", "2", "--features", "8", "--samples",
@@ -276,8 +280,32 @@ def test_generated_csv_takes_the_one_pass_parse(tmp_path, monkeypatch):
     assert b"\r\n" in (out / "data.csv").read_bytes()
     expected = _loaded(out / "data.csv", out / "meta.json", one_pass=False)
 
-    def refuse(*args):
-        raise AssertionError("per-column path used")
-
-    monkeypatch.setattr(data, "_parse_by_column", refuse)
+    monkeypatch.setattr(data, "_parse_by_column", _refuse_per_column)
     assert _loaded(out / "data.csv", out / "meta.json") == expected
+
+
+@pytest.mark.parametrize("text", [
+    "a,b,y\n0,1,2\n9,0,1\n", "a,b,y\r\n0,1,2\r\n9,0,1\r\n",
+    "a,b,y\n0,1,2\n9,0,1", "y\n1\n0\n1\n", "y\n123\n", "a,y\n10,11\n22,33\n"],
+    ids=["one-digit-lf", "one-digit-crlf", "one-digit-no-final-eol",
+         "one-column", "one-column-multi-digit", "two-columns-multi-digit"])
+def test_plain_layouts_take_the_one_pass_parse(tmp_path, monkeypatch, text):
+    path = _write(tmp_path, "d.csv", text)
+    meta = _write(tmp_path, "m.json", META)
+    expected = _loaded(path, meta, one_pass=False)
+    monkeypatch.setattr(data, "_parse_by_column", _refuse_per_column)
+    assert _loaded(path, meta) == expected
+
+
+def test_large_mixed_width_body_matches_per_column_reference(tmp_path,
+                                                              monkeypatch):
+    codes = np.random.default_rng(11).integers(0, 13, size=(2000, 40))
+    names = [f"f{j}" for j in range(39)] + ["y"]
+    text = "\n".join([",".join(names)] + [",".join(map(str, row))
+                                          for row in codes.tolist()]) + "\n"
+    path = _write(tmp_path, "d.csv", text)
+    meta = _write(tmp_path, "m.json", META)
+    expected = _loaded(path, meta, one_pass=False)
+    assert expected[0] == codes.T.tolist()
+    monkeypatch.setattr(data, "_parse_by_column", _refuse_per_column)
+    assert _loaded(path, meta) == expected
