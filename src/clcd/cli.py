@@ -86,13 +86,15 @@ def _sha256(path) -> str:
 
 class RunOutputs:
     """A run's rendered files (name -> text), written together at the end
-    as UTF-8; a failed write removes every file begun, its own too."""
+    as UTF-8; a failed write removes every file and directory begun."""
 
     def __init__(self, out_dir, files: dict):
         self.out_dir = Path(out_dir)
         self.files = files
 
     def flush(self) -> None:
+        made = [d for d in (self.out_dir, *self.out_dir.parents)
+                if not d.exists()]  # deepest first
         self.out_dir.mkdir(parents=True, exist_ok=True)
         written = []
         try:
@@ -103,6 +105,8 @@ class RunOutputs:
         except BaseException:
             for path in written:
                 path.unlink(missing_ok=True)
+            for folder in made:
+                folder.rmdir()
             raise
 
 

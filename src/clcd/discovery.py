@@ -69,8 +69,8 @@ def phase2_retrieve(tester: CiTester, ds: Dataset, labels, structures: dict,
         for t_i in sorted(set(st.pc) & label_set):
             pool = [v for v in ds.features
                     if v not in st.pc and v != t_j
-                    and not tester.independent(v, t_i, ())
-                    and not tester.independent(v, t_j, ())]
+                    and not tester.ci(v, t_i).independent
+                    and not tester.ci(v, t_j).independent]
             for z in subsets(pool, max_z):
                 if set(z) & st.pc:
                     continue
@@ -91,7 +91,7 @@ def _phase2_admits(tester, z, t_i, t_j, st, cfg) -> bool:
         return False
     # no retained-PC subset may already shield Z from t_j
     for s in subsets(sorted(st.pc - {t_i}), cfg.max_cond_size):
-        if tester.set_independent(z, (t_j,), s):
+        if tester.set_ci(z, (t_j,), s).independent:
             return False
     return True
 

@@ -43,17 +43,17 @@ def equivalent_info(tester: CiTester, xs, sides, zs) -> list:
     xs ⊥̸ z for every z, then the grid xs ⊥ s | z of those left, then
     xs ⊥ z | s for the z's that screen s: one batch each, the last per s."""
     zs = list(zs)
-    sides = [s for s, r in zip(sides, tester.set_ci_many(
-        xs, sides if zs else [])) if not r.independent]
+    sides = [s for s, r in zip(sides, tester.set_ci_grid(
+        xs, sides if zs else [], [()])[0]) if not r.independent]
     if not sides:
         return []
-    zs = [z for z, r in zip(zs, tester.set_ci_many(xs, zs))
+    zs = [z for z, r in zip(zs, tester.set_ci_grid(xs, zs, [()])[0])
           if not r.independent]
     pairs = set()
     for s, column in zip(sides, zip(*tester.set_ci_grid(xs, sides, zs))):
         screened = [z for z, r in zip(zs, column) if r.independent]
-        pairs.update((s, z) for z, r in zip(
-            screened, tester.set_ci_many(xs, screened, s)) if r.independent)
+        row = tester.set_ci_grid(xs, screened, [s])[0]
+        pairs.update((s, z) for z, r in zip(screened, row) if r.independent)
     return [(s, z) for z in zs for s in sides if (s, z) in pairs]
 
 
@@ -84,8 +84,8 @@ def find_equivalences(tester: CiTester, x: VariableId, pc_x, candidates,
     pc = sorted(set(pc_x) - {x})
     pool = sorted(set(candidates) - set(pc) - {x})
     # prefilter: variables marginally independent of x can never appear in Z
-    pool = [c for c, r in zip(pool, tester.set_ci_many(
-        (x,), [(c,) for c in pool], ())) if not r.independent]
+    pool = [c for c, r in zip(pool, tester.set_ci_grid(
+        (x,), [(c,) for c in pool], [()])[0]) if not r.independent]
 
     return [EquivalencePair(target=x, s=frozenset(s), z=frozenset(z))
             for s, z in equivalent_info(tester, (x,), list(subsets(pc, max_z)),

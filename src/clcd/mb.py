@@ -1,44 +1,35 @@
 """Local causal structure learning: HITON-style PC/MB search and IAMB.
 
-Every search takes a tester as its first argument: :class:`G2Tester` on data,
-or an exact graphical oracle that stands in for it in checks. Each drops its
-own target from the candidates it is handed.
+Every search takes a tester (:class:`CiTester`) as its first argument:
+:class:`G2Tester` on data, or an exact graphical oracle that stands in for it
+in checks. Each drops its own target from the candidates it is handed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 from .citest import CiConfig, CiResult, g2_test, prefetch, set_ci
 from .data import Dataset, VariableId
 
 
-@runtime_checkable
 class CiTester(Protocol):
-    """A CI test provider: :class:`G2Tester` on data, or the d-separation
-    oracle ``synth.DsepTester``. ``n_tests`` counts distinct tests answered."""
+    """A CI test provider (:class:`G2Tester`, ``synth.DsepTester``): it
+    implements ``set_ci``, and counts distinct tests in ``n_tests``."""
 
     n_tests: int
 
-    def ci(self, x: VariableId, y: VariableId, z=()) -> CiResult: ...
     def set_ci(self, xs, ys, z=()) -> CiResult: ...
+
+    def ci(self, x: VariableId, y: VariableId, z=()) -> CiResult:
+        return self.set_ci((x,), (y,), z)
 
     def set_ci_grid(self, xs, ys_list, zs) -> list:
         """``set_ci(xs, ys, z)`` for each ``ys`` of ``ys_list``, one list per
         ``z`` of ``zs``, in order: the one batch method."""
         return [[self.set_ci(xs, ys, z) for ys in ys_list] for z in zs]
-
-    def set_ci_many(self, xs, ys_list, z=()) -> list:
-        """One z's row of :meth:`set_ci_grid`."""
-        return self.set_ci_grid(xs, ys_list, [z])[0]
-
-    def independent(self, x: VariableId, y: VariableId, z=()) -> bool:
-        return self.ci(x, y, z).independent
-
-    def set_independent(self, xs, ys, z=()) -> bool:
-        return self.set_ci(xs, ys, z).independent
 
 
 class G2Tester(CiTester):
@@ -57,6 +48,7 @@ class G2Tester(CiTester):
         self.n_tests = 0
         self._cache: dict = {}
 
+    # not inherited: perfbench counts lone tests here and at ``g2_test``
     def ci(self, x: VariableId, y: VariableId, z=()) -> CiResult:
         if x > y:
             x, y = y, x
@@ -80,7 +72,7 @@ class G2Tester(CiTester):
                 for zt in (tuple(sorted(z)) for z in zs)]
         todo = dict.fromkeys((s, k[2]) for row in keys for s, k in zip(
             sides, row) if k not in self._cache)
-        if len(todo) > 1:
+        if len(todo) > 1 and xt and all(sides):  # set_ci rejects an empty set
             prefetch(self.ds, xt, todo)
         return [[self._cache.get(key) or self.set_ci(*key) for key in row]
                 for row in keys]
@@ -139,7 +131,7 @@ def search_sepset(tester, target, x, pool, max_size):
     marginally dependent on the target.
     """
     for subset in subsets(sorted(pool), max_size):
-        if tester.independent(x, target, subset):
+        if tester.ci(x, target, subset).independent:
             return frozenset(subset)
     return None
 
@@ -149,7 +141,7 @@ def hiton_pc(tester: CiTester, target: VariableId, candidates,
     """Parent/children search with interleaved backward conditioning.
 
     Candidates enter in ascending order of marginal p-value (ties by id),
-    ranked by one ``set_ci_many`` batch of their marginal tests;
+    ranked by one ``set_ci_grid`` batch of their marginal tests;
     after each admission every current member is re-tested against subsets of
     the others (size <= max_cond_size) and removed when a separator appears.
     With ``symmetric=True`` each surviving X is additionally required to hold
@@ -161,7 +153,8 @@ def hiton_pc(tester: CiTester, target: VariableId, candidates,
     pool = sorted(set(candidates) - {target})
     sepsets: dict = {}
     ranked = []
-    for x, r in zip(pool, tester.set_ci_many((target,), [(x,) for x in pool])):
+    for x, r in zip(pool, tester.set_ci_grid((target,), [(x,) for x in pool],
+                                             [()])[0]):
         if r.independent:
             sepsets[x] = frozenset()
         else:
@@ -260,7 +253,7 @@ def iamb(tester: CiTester, target: VariableId, candidates,
     while changed:
         changed = False
         for x in sorted(mb):
-            if tester.independent(x, target, sorted(set(mb) - {x})):
+            if tester.ci(x, target, sorted(set(mb) - {x})).independent:
                 mb.remove(x)
                 changed = True
                 break

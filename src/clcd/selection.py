@@ -80,7 +80,7 @@ def delabel_pc(tester: CiTester, label: VariableId, structures: dict, labels,
                      sorted(blocked))
             pool -= blocked
         admitted = [x for x in sorted(pool)
-                    if not tester.independent(x, label, ())
+                    if not tester.ci(x, label).independent
                     and search_sepset(tester, label, x, st.pc,
                                       cfg.max_cond_size) is None]
         for x in admitted:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .citest import CiConfig, CiResult
+from .citest import CiConfig, CiResult, _validate_sets
 from .data import Dataset
 from .mb import CiTester
 
@@ -565,9 +565,9 @@ def dsep_oracle(net: BayesNet, x: int, y: int, z=()) -> bool:
 class DsepTester(CiTester):
     """Graphical stand-in for the G² tester: exact, always reliable.
 
-    Set queries hold iff every cross pair is d-separated. Dependence strength
-    is 1 for d-connected pairs and 0 otherwise, so ordering heuristics fall
-    back to variable-id tie-breaks.
+    It answers through ``set_ci`` alone: a set query holds iff every cross
+    pair is d-separated. Dependence strength is 1 for d-connected pairs and
+    0 otherwise, so ordering heuristics fall back to variable-id tie-breaks.
     """
 
     def __init__(self, net: BayesNet, cfg: CiConfig = CiConfig()):
@@ -587,21 +587,12 @@ class DsepTester(CiTester):
             self.n_tests += 1
         return hit
 
-    def _result(self, independent: bool) -> CiResult:
-        return CiResult(statistic=0.0 if independent else 1.0, dof=1,
-                        p_value=1.0 if independent else 0.0, reliable=True,
-                        independent=independent)
-
-    def ci(self, x, y, z=()) -> CiResult:
-        return self._result(self._dsep(x, y, tuple(z)))
-
-    def independent(self, x, y, z=()) -> bool:  # no CiResult to build
-        return self._dsep(x, y, tuple(z))
-
     def set_ci(self, xs, ys, z=()) -> CiResult:
-        sep = all(self._dsep(a, b, tuple(z))
-                  for a in sorted(xs) for b in sorted(ys))
-        return self._result(sep)
+        xt, yt, zt = _validate_sets(xs, ys, z)
+        sep = all(self._dsep(a, b, zt) for a in xt for b in yt)
+        return CiResult(statistic=0.0 if sep else 1.0, dof=1,
+                        p_value=1.0 if sep else 0.0, reliable=True,
+                        independent=sep)
 
 
 def random_net(n_nodes: int, edge_prob: float, rng, arity: int = 2,

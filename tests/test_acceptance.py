@@ -311,12 +311,12 @@ def test_criterion_09_selection_properties():
                 if f in res.selected:
                     continue
                 tested += 1
-                sep = tester.independent(f, t, ())
+                sep = tester.ci(f, t).independent
                 if not sep:
                     top = min(cfg.max_cond_size, len(witnesses))
                     for size in range(1, top + 1):
                         for w in itertools.combinations(witnesses, size):
-                            if tester.independent(f, t, w):
+                            if tester.ci(f, t, w).independent:
                                 sep = True
                                 break
                         if sep:

@@ -414,13 +414,18 @@ def test_set_ci_cell_guard():
     assert res.dof == 0
 
 
-def test_set_independent_wrapper():
-    ds = build_dataset({"x": [0] * 10 + [1] * 10, "y": [0] * 10 + [1] * 10})
-    assert not G2Tester(ds, CiConfig()).set_independent([0], [1])
+def test_g2_tester_set_ci_and_grid_read_independence():
+    # A copied pair and an independent one read the same through set_ci
+    # and through a grid that asks the pair the other way round.
     rng = np.random.default_rng(5)
-    ds2 = build_dataset(
-        {"x": rng.integers(0, 2, 500), "y": rng.integers(0, 2, 500)})
-    assert G2Tester(ds2, CiConfig()).set_independent([0], [1])
+    cases = [({"x": [0] * 10 + [1] * 10, "y": [0] * 10 + [1] * 10}, False),
+             ({"x": rng.integers(0, 2, 500), "y": rng.integers(0, 2, 500)},
+              True)]
+    for cols, independent in cases:
+        ds = build_dataset(cols)
+        grid = G2Tester(ds, CiConfig()).set_ci_grid([1], [[0]], [()])
+        assert grid == [[G2Tester(ds, CiConfig()).set_ci([0], [1])]]
+        assert grid[0][0].independent is independent
 
 
 def test_cmi_nonnegative_and_bounded():
@@ -677,8 +682,8 @@ def test_marginal_table_equals_kernel_for_every_ordered_pair(ds):
     # cell like the bincount.
     for x in range(ds.n_vars):
         others = [y for y in range(ds.n_vars) if y != x]
-        batch = G2Tester(_cold(ds), CiConfig()).set_ci_many(
-            (x,), [(y,) for y in others])
+        batch = G2Tester(_cold(ds), CiConfig()).set_ci_grid(
+            (x,), [(y,) for y in others], [()])[0]
         for y, res in zip(others, batch):
             counts, ref = _kernel_only(ds, (x,), (y,))
             assert g2_test(ds, x, y) == ref
@@ -728,7 +733,7 @@ def test_marginal_table_arrays_are_read_only():
     rng = np.random.default_rng(6)
     ds = build_dataset({f"v{i}": rng.integers(0, 3, 70) for i in range(4)})
     g2_test(ds, 2, 0)
-    G2Tester(ds, CiConfig()).set_ci_many((1,), [(0,), (3,)])
+    G2Tester(ds, CiConfig()).set_ci_grid((1,), [(0,), (3,)], [()])
     (arrays,) = ds._planes
     assert len(arrays) == 2 and arrays[0].dtype == np.uint64
     for arr in arrays:

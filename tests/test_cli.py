@@ -152,7 +152,10 @@ def test_outputs_are_utf8_whatever_the_locale(tmp_path):
                       )["features"] == names
 
 
-def test_failed_flush_removes_the_files_it_wrote(tmp_path, monkeypatch):
+_FILES = {"a.txt": "1\n", "b.txt": "2\n", "c.txt": "3\n"}
+
+
+def _fail_on_b(monkeypatch):
     write_text = Path.write_text
 
     def fail_on_b(path, text, **kwargs):
@@ -162,11 +165,24 @@ def test_failed_flush_removes_the_files_it_wrote(tmp_path, monkeypatch):
         return write_text(path, text, **kwargs)
 
     monkeypatch.setattr(Path, "write_text", fail_on_b)
-    outputs = cli.RunOutputs(tmp_path / "out",
-                             {"a.txt": "1\n", "b.txt": "2\n", "c.txt": "3\n"})
+
+
+def test_failed_flush_removes_the_files_it_wrote(tmp_path, monkeypatch):
+    # the directories it made go too: out/ and the parent made for it
+    _fail_on_b(monkeypatch)
     with pytest.raises(ValueError, match="cannot encode"):
-        outputs.flush()
-    assert list((tmp_path / "out").iterdir()) == []
+        cli.RunOutputs(tmp_path / "new" / "out", _FILES).flush()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_flush_keeps_an_existing_directory(tmp_path, monkeypatch):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "keep.txt").write_text("mine\n")
+    _fail_on_b(monkeypatch)
+    with pytest.raises(ValueError, match="cannot encode"):
+        cli.RunOutputs(tmp_path / "out", _FILES).flush()
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["keep.txt"]
+    assert (tmp_path / "out" / "keep.txt").read_text() == "mine\n"
 
 
 def test_eval_variable_mode(tmp_path):

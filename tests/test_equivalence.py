@@ -235,16 +235,16 @@ def _per_z_scan(tester, x, pc_x, candidates, max_z):
     reference: each test asked alone, one external set Z at a time."""
     pc = sorted(set(pc_x) - {x})
     pool = [c for c in sorted(set(candidates) - set(pc) - {x})
-            if not tester.set_independent((x,), (c,))]
+            if not tester.set_ci((x,), (c,)).independent]
     found = []
     for z in subsets(pool, max_z):
         sides = [s for s in subsets(pc, max_z)
-                 if not tester.set_independent((x,), s)]
-        if not sides or tester.set_independent((x,), z):
+                 if not tester.set_ci((x,), s).independent]
+        if not sides or tester.set_ci((x,), z).independent:
             continue
         found += [EquivalencePair(target=x, s=frozenset(s), z=frozenset(z))
-                  for s in sides if tester.set_independent((x,), s, z)
-                  and tester.set_independent((x,), z, s)]
+                  for s in sides if tester.set_ci((x,), s, z).independent
+                  and tester.set_ci((x,), z, s).independent]
     return found
 
 
@@ -306,7 +306,7 @@ def test_dsep_scan_loops_like_per_z_scan():
     for _ in range(5):
         net = random_net(10, 0.35, rng)
         pc = [v for v in range(10) if v != 4 and not
-              any(DsepTester(net).independent(v, 4, z) for z in
+              any(DsepTester(net).ci(v, 4, z).independent for z in
                   subsets(sorted(set(range(10)) - {v, 4}), 1))]
         for max_z in (1, 2):
             batched, alone = DsepTester(net), DsepTester(net)

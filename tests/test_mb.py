@@ -9,10 +9,12 @@ from hypothesis import strategies as hst
 
 from clcd import citest
 from clcd.citest import CiConfig, CiResult
+from clcd.discovery import clcd
 from clcd.mb import (CiTester, G2Tester, LocalStructure, hiton_mb,
                      hiton_pc, iamb, subsets)
-from clcd.synth import (DsepTester, GenConfig, generate, graphical_mb,
-                        random_net, sample)
+from clcd.selection import clcd_fs
+from clcd.synth import (DsepTester, GenConfig, dsep_oracle, generate,
+                        graphical_mb, random_net, sample)
 from conftest import build_dataset, permute_rows
 
 
@@ -119,19 +121,16 @@ def test_bijective_copy_keeps_exactly_one(chain_net):
 
 class _FakeTester(CiTester):
     """Scripted tester: judgments keyed on ({x, y}, conditioning set). Its
-    batches and boolean forms are the protocol's own loops."""
+    ``ci`` and batches are the protocol's own loops over ``set_ci``."""
 
     def __init__(self, table):
         self.table = table
 
-    def ci(self, x, y, z=()):
+    def set_ci(self, xs, ys, z=()):
+        (x,), (y,) = xs, ys
         p, indep = self.table[(frozenset({x, y}), frozenset(z))]
         return CiResult(statistic=0.0, dof=1, p_value=p, reliable=True,
                         independent=indep)
-
-    def set_ci(self, xs, ys, z=()):
-        (x,), (y,) = xs, ys
-        return self.ci(x, y, z)
 
 
 def test_symmetric_mode_drops_one_sided_member():
@@ -211,7 +210,7 @@ def test_g2_tester_ci_and_set_ci_share_cache():
     assert reverse.n_tests == 1
 
 
-def test_set_ci_many_equals_set_ci_one_by_one(monkeypatch):
+def test_set_ci_grid_row_equals_set_ci_one_by_one(monkeypatch):
     # x = v3 against sides on both orientations, duplicates, one side the
     # tester answered before and one past the planes' size rule (4-level
     # w); each answer equals a lone set_ci on a cold copy, and the batch
@@ -230,20 +229,20 @@ def test_set_ci_many_equals_set_ci_one_by_one(monkeypatch):
         alone = G2Tester(dataclasses.replace(ds), CiConfig())
         for tester in (batched, alone):
             tester.set_ci((3,), (5,), z)
-        assert (batched.set_ci_many((3,), sides, z)
-                == [alone.set_ci((3,), s, z) for s in sides])
+        assert (batched.set_ci_grid((3,), sides, [z])
+                == [[alone.set_ci((3,), s, z) for s in sides]])
         assert batched.n_tests == alone.n_tests == 5
         assert not ds._stash
     assert max(stacks) == 2  # (1, 2) and (2, 4) shared one stack
 
 
-def test_dsep_tester_set_ci_many_loops_set_ci(chain_net):
+def test_dsep_tester_set_ci_grid_loops_set_ci(chain_net):
     tester = DsepTester(chain_net)
     sides = [(0,), (2,), (0, 2)]
-    assert (tester.set_ci_many((1,), sides, ())
-            == [tester.set_ci((1,), s, ()) for s in sides])
-    assert (tester.set_ci_many((0,), [(2,)], (1,))
-            == [tester.set_ci((0,), (2,), (1,))])
+    assert (tester.set_ci_grid((1,), sides, [()])
+            == [[tester.set_ci((1,), s, ()) for s in sides]])
+    assert (tester.set_ci_grid((0,), [(2,)], [(), (1,)])
+            == [[tester.set_ci((0,), (2,), z)] for z in [(), (1,)]])
 
 
 def test_row_permutation_leaves_boundaries_identical():
@@ -266,14 +265,16 @@ def test_g2_and_dsep_testers_share_the_tester_protocol(chain_net,
     ds = sample(chain_net, 300, seed=2)
     testers = (G2Tester(ds, CiConfig()), DsepTester(chain_net))
     for tester in testers:
-        assert isinstance(tester, CiTester)
         for z in ((), (1,)):
-            assert (tester.independent(0, 2, z)
-                    == tester.ci(0, 2, z).independent)
-            assert (tester.set_independent([0], [2], z)
-                    == tester.set_ci([0], [2], z).independent)
-    assert [t.independent(0, 2, (1,)) for t in testers] == [True, True]
-    assert not isinstance(object(), CiTester)
+            assert tester.ci(2, 0, z) == tester.set_ci([0], [2], z)
+            assert (tester.set_ci_grid([2], [[0]], [z])
+                    == [[tester.ci(0, 2, z)]])
+    assert [t.ci(0, 2, (1,)).independent for t in testers] == [True, True]
+    # the protocol is three methods, and the oracle answers through one
+    methods = [{n for n, v in vars(cls).items()
+                if callable(v) and not n.startswith("__")}
+               for cls in (CiTester, DsepTester)]
+    assert methods == [{"set_ci", "ci", "set_ci_grid"}, {"set_ci", "_dsep"}]
     # every search drops its own target: a scope that holds it is the same
     cfg = CiConfig()
     searches = (hiton_pc, hiton_mb, partial(hiton_mb, symmetric=True), iamb)
@@ -283,6 +284,56 @@ def test_g2_and_dsep_testers_share_the_tester_protocol(chain_net,
             for t, search in itertools.product(range(3), searches):
                 assert (search(tester, t, range(3), cfg)
                         == search(tester, t, _scope(net, t), cfg))
+
+
+@pytest.mark.parametrize("make", [
+    lambda net: G2Tester(sample(net, 300, seed=2), CiConfig()), DsepTester],
+    ids=["g2", "dsep"])
+def test_testers_reject_malformed_queries_alike(chain_net, make):
+    # The oracle rejects what the data tester rejects, with the same message,
+    # and a grid with an empty set raises that error too, not an IndexError.
+    tester = make(chain_net)
+    asks = [("nonempty", tester.set_ci, ([], [1])),
+            ("disjoint", tester.set_ci, ([0, 1], [1, 2])),
+            ("disjoint", tester.set_ci, ([0], [2], [2])),
+            ("nonempty", tester.set_ci_grid, ((), [(1,), (2,)], [()])),
+            ("nonempty", tester.set_ci_grid, ((0,), [(), (1,)], [()]))]
+    for word, method, args in asks:
+        with pytest.raises(ValueError, match=f"sets must be .*{word}"):
+            method(*args)
+    assert tester.n_tests == 0
+
+
+class _PairwiseOracle(CiTester):
+    """Only what the protocol asks for: ``n_tests`` and a ``set_ci`` that
+    asks the d-separation oracle pair by pair, with no cache."""
+
+    def __init__(self, net):
+        self.net = net
+        self.n_tests = 0
+
+    def set_ci(self, xs, ys, z=()):
+        self.n_tests += 1
+        sep = all(dsep_oracle(self.net, a, b, z) for a in xs for b in ys)
+        return CiResult(statistic=float(not sep), dof=1,
+                        p_value=float(sep), reliable=True, independent=sep)
+
+
+def test_set_ci_alone_drives_both_pipelines():
+    # A tester with no ``ci`` and no batch of its own gives the oracle's
+    # structures, equivalences, common and specific sets, and selection.
+    rng = np.random.default_rng(8)
+    nets = [random_net(9, 0.35, rng, label_nodes=(2, 5, 8)) for _ in range(2)]
+    nets += [generate(GenConfig(3, 20, p_c=0.5, p_m=1.0, seed=seed))[0]
+             for seed in (1, 2)]
+    for net in nets:
+        ds = sample(net, 20, seed=0)
+        got = clcd(ds, tester=_PairwiseOracle(net))
+        want = clcd(ds, tester=DsepTester(net))
+        assert (got.structures, got.ei, got.ccv, got.tcv) == (
+            want.structures, want.ei, want.ccv, want.tcv)
+        assert (clcd_fs(ds, tester=_PairwiseOracle(net))
+                == clcd_fs(ds, tester=DsepTester(net)))
 
 
 @given(pool=hst.lists(hst.integers(0, 20), max_size=7, unique=True),

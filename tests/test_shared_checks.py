@@ -23,19 +23,19 @@ from conftest import xor_labels_net
 def _reference_phase2_admits(tester, z, t_i, t_j, st, cfg) -> bool:
     if len(z) > 1:
         # singletons already passed the per-variable marginal prefilter
-        if tester.set_independent(z, (t_i,), ()):
+        if tester.set_ci(z, (t_i,), ()).independent:
             return False
-        if tester.set_independent(z, (t_j,), ()):
+        if tester.set_ci(z, (t_j,), ()).independent:
             return False
-    if not tester.set_independent(z, (t_i,), (t_j,)):
+    if not tester.set_ci(z, (t_i,), (t_j,)).independent:
         return False
-    if not tester.set_independent(z, (t_j,), (t_i,)):
+    if not tester.set_ci(z, (t_j,), (t_i,)).independent:
         return False
     # no retained-PC subset may already shield Z from t_j
     others = sorted(st.pc - {t_i})
     for s_size in range(1, min(cfg.max_cond_size, len(others)) + 1):
         for s in itertools.combinations(others, s_size):
-            if tester.set_independent(z, (t_j,), s):
+            if tester.set_ci(z, (t_j,), s).independent:
                 return False
     return True
 
@@ -47,8 +47,8 @@ def _reference_phase2_retrieve(tester, ds, labels, structures, cfg, max_z):
         for t_i in sorted(set(st.pc) & label_set):
             pool = [v for v in ds.features
                     if v not in st.pc and v != t_j
-                    and not tester.independent(v, t_i, ())
-                    and not tester.independent(v, t_j, ())]
+                    and not tester.ci(v, t_i, ()).independent
+                    and not tester.ci(v, t_j, ()).independent]
             for size in range(1, min(max_z, len(pool)) + 1):
                 for z in itertools.combinations(pool, size):
                     if set(z) & st.pc:
@@ -65,12 +65,12 @@ def _reference_phase2_retrieve(tester, ds, labels, structures, cfg, max_z):
 
 def _always_dependent(tester, x, target, base, cfg) -> bool:
     """x stays dependent on target under every small subset of base."""
-    if tester.independent(x, target, ()):
+    if tester.ci(x, target, ()).independent:
         return False
     top = min(cfg.max_cond_size, len(base))
     for size in range(1, top + 1):
         for sub in itertools.combinations(base, size):
-            if tester.independent(x, target, sub):
+            if tester.ci(x, target, sub).independent:
                 return False
     return True
 

@@ -278,7 +278,7 @@ def test_dsep_tester_caches(chain_net):
     assert not tester.ci(0, 1).independent
     # composite interface mirrors the scalar one
     assert tester.set_ci((0,), (2,), (1,)).independent
-    assert not tester.set_independent((0, 1), (2,))
+    assert not tester.set_ci((0, 1), (2,)).independent
 
 
 def test_random_net_respects_limits():
