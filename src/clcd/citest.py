@@ -2,9 +2,10 @@
 
 Every test sums O·ln(O/E) over a stratum-minor count table of shape
 ``(rx, ry, n_strata)``, scored by :func:`_nat_tables` in a stack of one or
-more. :func:`g2_test` is :func:`set_ci` with singleton sides, so the two are
-the same test. ``G² = 2 n ln(2) I(X;Y|Z)``, so a table's plug-in conditional
-mutual information in bits is ``set_ci(...).statistic / (2·n·ln 2)``.
+more. :func:`g2_test` is :func:`set_ci` with singleton sides, and swapped
+sides are one test: every test, memo and check goes by :func:`_set_key`.
+``G² = 2 n ln(2) I(X;Y|Z)``, so a table's plug-in conditional mutual
+information in bits is ``set_ci(...).statistic / (2·n·ln 2)``.
 
 A table whose cells times the words of one bit plane fit in the rows is
 AND-popcounted from stacked bit planes (one per variable and level; a set of
@@ -19,8 +20,8 @@ exact +0.0 term each put back in place. Cells are read back in (stratum, x,
 y) order and empty strata add nothing, so every path gives identical bits.
 The dataset keeps the kernel's fold and compaction of the last conditioning
 set, so kernel tests under one set build each once, and a batch's results,
-each table summed alone, in one stash keyed by the whole test until the
-test takes it.
+each table summed alone, in one stash under each test's key until the test
+takes it.
 """
 
 from __future__ import annotations
@@ -76,11 +77,6 @@ class CiResult:
     p_value: float
     reliable: bool
     independent: bool
-
-
-def _unreliable() -> CiResult:
-    return CiResult(statistic=0.0, dof=0, p_value=1.0, reliable=False,
-                    independent=True)
 
 
 def _nat_kernel(xcode: np.ndarray, rx: int, ycode: np.ndarray, ry: int,
@@ -251,7 +247,7 @@ def prefetch(ds: Dataset, xt: tuple, tests) -> None:
     most _BATCH_WORDS words (z's chunked so that one side fits, then sides
     so that the chunk does) and one :func:`_nat_tables` call, each table in
     the order ``(min(xt, s), max(xt, s))``. Each asked (nat, dof) waits in
-    ``ds._stash`` under its whole test for :func:`_nat` to take it."""
+    ``ds._stash`` under its :func:`_set_key` for :func:`_nat` to take it."""
     rx, n_words = math.prod(map(ds.arity, xt)), -(-ds.n_rows // 64)
     sides, zs, wanted, planes = {}, {}, dict.fromkeys(tests), _planes(ds)
     for s in dict.fromkeys(s for s, _ in wanted):
@@ -281,27 +277,45 @@ def prefetch(ds: Dataset, xt: tuple, tests) -> None:
                 tables = (np.where(flip[:, None, None, None], tables.swapaxes(
                     1, 2), tables) if rs == rx else tables.swapaxes(1, 2))
             for (s, zt), res in zip(product(part, chunk), _nat_tables(tables)):
-                if (s, zt) in wanted:
+                if (s, zt) in wanted:  # stashed by _set_key's rule, inline
                     ds._stash[(xt, s, zt) if xt < s else (s, xt, zt)] = res
 
 
+def _set_key(xs, ys, z) -> tuple:
+    """The one key of a test, and of its swap, as G² is symmetric: each side
+    sorted, the smaller side first, then the sorted z."""
+    a, b = tuple(sorted(xs)), tuple(sorted(ys))
+    return (a, b, tuple(sorted(z))) if a <= b else (b, a, tuple(sorted(z)))
+
+
 def _validate_sets(xs, ys, z) -> tuple[tuple, tuple, tuple]:
-    xt = tuple(sorted(map(int, xs)))
-    yt = tuple(sorted(map(int, ys)))
-    zt = tuple(sorted(map(int, z)))
-    if not xt or not yt:
+    """:func:`_set_key` in ints of nonempty, pairwise disjoint sets."""
+    key = _set_key(map(int, xs), map(int, ys), map(int, z))
+    if not key[0]:  # the smaller side: empty if either is
         raise ValueError("variable sets must be nonempty")
-    pool = xt + yt + zt
+    pool = key[0] + key[1] + key[2]
     if len(set(pool)) != len(pool):
         raise ValueError("variable sets must be pairwise disjoint")
-    return xt, yt, zt
+    return key
+
+
+def _validate_grid(xt: tuple, sides: list, zts: list) -> None:
+    """:func:`_validate_sets`' error for the first malformed test (z-major)
+    of the grid ``xt`` × ``sides`` × ``zts``, in O(its sets): sets nonempty
+    but z's, none repeating a variable, ``xt``, ∪sides and ∪z's disjoint."""
+    in_sides, in_zs = set().union(*sides), set().union(*zts)
+    if (not xt or not all(sides) or set(xt) & (in_sides | in_zs)
+            or in_sides & in_zs or any(len(set(t)) < len(t) for t in (
+                xt, *sides, *zts) if len(t) > 1)):  # one variable: no repeat
+        for zt, s in product(zts, sides):
+            _validate_sets(xt, s, zt)
 
 
 def _nat(ds: Dataset, xt: tuple, yt: tuple,
          zt: tuple) -> tuple[float, int] | None:
-    """:func:`_nat_tables`' (nat, dof) for sorted ``xt ⊥ yt | zt``, or None
-    past MAX_CELLS_PER_STRATUM or _MAX_TABLE_CELLS. A :func:`prefetch`
-    result comes first, then the planes, then the kernel."""
+    """:func:`_nat_tables`' (nat, dof) for the key ``(xt, yt, zt)``, every
+    table's first axis the smaller side, or None past MAX_CELLS_PER_STRATUM
+    or _MAX_TABLE_CELLS: a :func:`prefetch` result, else planes or kernel."""
     if (xt, yt, zt) in ds._stash:  # left by prefetch
         return ds._stash.pop((xt, yt, zt))
     rx, ry = math.prod(map(ds.arity, xt)), math.prod(map(ds.arity, yt))
@@ -338,7 +352,7 @@ def set_ci(ds: Dataset, xs, ys, z=(), cfg: CiConfig = CiConfig()) -> CiResult:
     MAX_CELLS_PER_STRATUM cells, the test is reported unreliable.
     """
     found = _nat(ds, *_validate_sets(xs, ys, z))
-    if found is None:
-        return _unreliable()
+    if found is None:  # read as "independence not refutable"
+        return CiResult(0.0, 0, 1.0, reliable=False, independent=True)
     return _result_from_kernel(*found, ds.n_rows, cfg)
 

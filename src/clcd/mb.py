@@ -11,7 +11,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .citest import CiConfig, CiResult, g2_test, prefetch, set_ci
+from .citest import (CiConfig, CiResult, _set_key, _validate_grid, g2_test,
+                     prefetch, set_ci)
 from .data import Dataset, VariableId
 
 
@@ -35,11 +36,11 @@ class CiTester(Protocol):
 class G2Tester(CiTester):
     """Memoizing G² test provider bound to one dataset.
 
-    ``ci`` and ``set_ci`` share one cache. Keys are the sorted sides, swapped
-    into order, plus the sorted conditioning set, so x,y and y,x collapse and
-    ``ci(x, y, z)`` and ``set_ci([y], [x], z)`` cost one test between them.
-    ``set_ci_grid`` prefetches its new tests, under any z's, the empty one
-    too, then answers each from the cache or, if new, through ``set_ci``.
+    ``ci`` and ``set_ci`` share one cache under ``citest._set_key``, so x,y
+    and y,x collapse and ``ci(x, y, z)`` and ``set_ci([y], [x], z)`` cost
+    one test between them. ``set_ci_grid`` rejects a malformed grid whole,
+    prefetches its new tests, under any z's, the empty one too, then
+    answers each from the cache or, if new, through ``set_ci``.
     """
 
     def __init__(self, ds: Dataset, cfg: CiConfig):
@@ -50,7 +51,7 @@ class G2Tester(CiTester):
 
     # not inherited: perfbench counts lone tests here and at ``g2_test``
     def ci(self, x: VariableId, y: VariableId, z=()) -> CiResult:
-        if x > y:
+        if x > y:  # _set_key's rule, inline
             x, y = y, x
         key = ((x,), (y,), tuple(sorted(z)))
         if key not in self._cache:
@@ -68,20 +69,16 @@ class G2Tester(CiTester):
     def set_ci_grid(self, xs, ys_list, zs) -> list:
         xt = tuple(sorted(xs))
         sides = [tuple(sorted(ys)) for ys in ys_list]
+        zts = [tuple(sorted(z)) for z in zs]
         keys = [[(s, xt, zt) if s < xt else (xt, s, zt) for s in sides]
-                for zt in (tuple(sorted(z)) for z in zs)]
+                for zt in zts]  # _set_key's rule, inline
         todo = dict.fromkeys((s, k[2]) for row in keys for s, k in zip(
             sides, row) if k not in self._cache)
-        if len(todo) > 1 and xt and all(sides):  # set_ci rejects an empty set
+        if len(todo) > 1:  # set_ci checks one new test itself
+            _validate_grid(xt, sides, zts)  # before prefetch stashes any
             prefetch(self.ds, xt, todo)
         return [[self._cache.get(key) or self.set_ci(*key) for key in row]
                 for row in keys]
-
-
-def _set_key(xs, ys, z) -> tuple:
-    """The sorted sides, swapped into order, and the sorted z."""
-    a, b = tuple(sorted(xs)), tuple(sorted(ys))
-    return (a, b, tuple(sorted(z))) if a <= b else (b, a, tuple(sorted(z)))
 
 
 @dataclass

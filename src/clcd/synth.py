@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .citest import CiConfig, CiResult, _validate_sets
+from .citest import CiConfig, CiResult, _set_key, _validate_sets
 from .data import Dataset
 from .mb import CiTester
 
@@ -501,16 +501,11 @@ def exact_joint(net: BayesNet) -> np.ndarray:
 
 def exact_cmi(net: BayesNet, xs, ys, zs=()) -> float:
     """I(xs; ys | zs) in bits from full joint enumeration."""
-    xs, ys, zs = sorted(xs), sorted(ys), sorted(zs)
+    xs, ys, zs = _validate_sets(xs, ys, zs)  # I is symmetric, like G²
     pool = xs + ys + zs
-    if len(set(pool)) != len(pool) or not xs or not ys:
-        raise ValueError("argument sets must be nonempty and disjoint")
-    joint = exact_joint(net)
-    other = [i for i in range(net.n_nodes) if i not in pool]
-    moved = joint.transpose(xs + ys + zs + other)
-    sx = int(np.prod([net.arities[i] for i in xs]))
-    sy = int(np.prod([net.arities[i] for i in ys]))
-    sz = int(np.prod([net.arities[i] for i in zs])) if zs else 1
+    other = tuple(i for i in range(net.n_nodes) if i not in pool)
+    moved = exact_joint(net).transpose(pool + other)
+    sx, sy, sz = (math.prod(net.arities[i] for i in s) for s in (xs, ys, zs))
     pxyz = moved.reshape(sx, sy, sz, -1).sum(axis=3)
     pz = pxyz.sum(axis=(0, 1))
     pxz = pxyz.sum(axis=1)
@@ -565,9 +560,10 @@ def dsep_oracle(net: BayesNet, x: int, y: int, z=()) -> bool:
 class DsepTester(CiTester):
     """Graphical stand-in for the G² tester: exact, always reliable.
 
-    It answers through ``set_ci`` alone: a set query holds iff every cross
-    pair is d-separated. Dependence strength is 1 for d-connected pairs and
-    0 otherwise, so ordering heuristics fall back to variable-id tie-breaks.
+    Like ``G2Tester`` it memoizes whole ``set_ci`` queries under
+    ``citest._set_key`` and counts distinct ones in ``n_tests``. A query
+    holds iff every cross pair is d-separated; dependence strength is 1 or 0,
+    so ordering heuristics fall back to variable-id tie-breaks.
     """
 
     def __init__(self, net: BayesNet, cfg: CiConfig = CiConfig()):
@@ -576,23 +572,14 @@ class DsepTester(CiTester):
         self.n_tests = 0
         self._cache: dict = {}
 
-    def _dsep(self, x, y, z) -> bool:
-        if x > y:
-            x, y = y, x
-        key = (x, y, frozenset(z))
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = dsep_oracle(self.net, x, y, key[2])
-            self._cache[key] = hit
-            self.n_tests += 1
-        return hit
-
     def set_ci(self, xs, ys, z=()) -> CiResult:
-        xt, yt, zt = _validate_sets(xs, ys, z)
-        sep = all(self._dsep(a, b, zt) for a in xt for b in yt)
-        return CiResult(statistic=0.0 if sep else 1.0, dof=1,
-                        p_value=1.0 if sep else 0.0, reliable=True,
-                        independent=sep)
+        key = _set_key(xs, ys, z)
+        if key not in self._cache:
+            xt, yt, zt = _validate_sets(xs, ys, z)
+            sep = all(dsep_oracle(self.net, a, b, zt) for a in xt for b in yt)
+            self._cache[key] = CiResult(1.0 - sep, 1, float(sep), True, sep)
+            self.n_tests += 1
+        return self._cache[key]
 
 
 def random_net(n_nodes: int, edge_prob: float, rng, arity: int = 2,

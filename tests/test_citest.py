@@ -7,7 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clcd import citest
@@ -18,6 +18,7 @@ from clcd.citest import (
     _fold,
     _nat_kernel,
     _result_from_kernel,
+    _set_key,
     _strata,
     g2_test,
     set_ci,
@@ -658,6 +659,12 @@ def _kernel_only(ds, xt, yt, zt=()):
     return counts, _result_from_kernel(*nat_dof, ds.n_rows, CiConfig())
 
 
+def _kernel_keyed(ds, xt, yt, zt=()):
+    """``_kernel_only``'s result of the test's key, the smaller side first:
+    what ``set_ci`` gives in either order of the sides."""
+    return _kernel_only(ds, *_set_key(xt, yt, zt))[1]
+
+
 @st.composite
 def _marginal_tables(draw):
     # Declared arities 2-6 over columns that may use fewer levels, skip the
@@ -678,16 +685,15 @@ def _marginal_tables(draw):
 @given(_marginal_tables())
 def test_marginal_table_equals_kernel_for_every_ordered_pair(ds):
     # Both orders of a pair, alone and in one ranking batch per variable,
-    # equal the kernel; the planes count every ordered pair's table cell for
-    # cell like the bincount.
+    # equal the kernel in the key's order; the planes count every ordered
+    # pair's table cell for cell like the bincount.
     for x in range(ds.n_vars):
         others = [y for y in range(ds.n_vars) if y != x]
         batch = G2Tester(_cold(ds), CiConfig()).set_ci_grid(
             (x,), [(y,) for y in others], [()])[0]
         for y, res in zip(others, batch):
-            counts, ref = _kernel_only(ds, (x,), (y,))
-            assert g2_test(ds, x, y) == ref
-            assert res == _kernel_only(ds, *sorted([(x,), (y,)]))[1]
+            counts = _kernel_only(ds, (x,), (y,))[0]
+            assert g2_test(ds, x, y) == res == _kernel_keyed(ds, (x,), (y,))
             assert (_plane_table(ds, (x,), (y,)) == counts).all()
             got = _plane_table(ds, (y,), (x,))
             assert (got.swapaxes(0, 1) == counts).all()
@@ -718,7 +724,7 @@ def test_marginal_table_is_per_dataset():
         for x, y in ((0, 1), (1, 0), (2, 3)):
             assert _counter(ds, (x,), (y,), ()) == "planes"
             res = g2_test(ds, x, y)
-            assert res == _kernel_only(ds, (x,), (y,))[1]
+            assert res == _kernel_keyed(ds, (x,), (y,))
             g2, dof = _g2_by_counting(ds.codes[x], ds.codes[y], [()] * 200)
             assert res.dof == dof
             assert res.statistic == pytest.approx(g2, rel=1e-12)
@@ -782,16 +788,17 @@ def _plane_tests(draw):
 @settings(max_examples=300, deadline=None)
 @given(_plane_tests())
 def test_plane_tables_equal_kernel(case):
-    # Every test, in both orientations, equals the kernel's result through
-    # set_ci and g2_test, and a popcounted table equals the bincount table
-    # cell for cell, so a permuted composite order cannot hide in a sum: as
-    # a lone test counts it, and as a batch does, the other side's planes
-    # against the fold of this side and z.
+    # Every test, in both orientations, equals the kernel's result of its
+    # key through set_ci and g2_test, and a popcounted table equals the
+    # bincount table cell for cell, so a permuted composite order cannot
+    # hide in a sum: as a lone test counts it, and as a batch does, the
+    # other side's planes against the fold of this side and z.
     ds, tests = case
     for xs, ys, z in tests:
         xt, yt, zt = (tuple(sorted(t)) for t in (xs, ys, z))
+        ref = _kernel_keyed(ds, xt, yt, zt)
         for a, b in ((xt, yt), (yt, xt)):
-            counts, ref = _kernel_only(ds, a, b, zt)
+            counts = _kernel_only(ds, a, b, zt)[0]
             assert set_ci(ds, list(a), list(b), z) == ref
             if len(a) == len(b) == 1:
                 assert g2_test(ds, a[0], b[0], z) == ref
@@ -799,6 +806,62 @@ def test_plane_tables_equal_kernel(case):
                 assert (_plane_table(ds, a, b, zt) == counts).all()
                 got = _plane_table(ds, b, a, zt)
                 assert (got.swapaxes(0, 1) == counts).all()
+
+
+@st.composite
+def _swapped_tests(draw):
+    # One test a, b | z and the counter its table takes, drawn first: the
+    # planes (binary, at most 32 cells, 64+ rows), the dense kernel (256
+    # cells of four 4-level variables, too many for the planes, none past
+    # the rows) or the compacted kernel (a 16-cell table under 3-4 z's of 4
+    # levels, more cells than rows) with a one-row stratum to drop.
+    path = draw(st.sampled_from(["planes", "kernel", "compacted"]))
+    arity, rows, sizes = {
+        "planes": (2, st.integers(64, 300), st.tuples(
+            st.integers(1, 2), st.integers(1, 2), st.integers(0, 1))),
+        "kernel": (4, st.integers(256, 400), st.sampled_from(
+            [(1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 0)])),
+        "compacted": (4, st.integers(2, 300), st.tuples(
+            st.just(1), st.just(1), st.integers(3, 4)))}[path]
+    ka, kb, kz = draw(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = rng.integers(0, arity, (8, draw(rows)))
+    ds = build_dataset({f"v{i}": c for i, c in enumerate(codes)},
+                       arities=[arity] * 8)
+    order = draw(st.permutations(range(8)))
+    z = order[ka + kb:ka + kb + kz]
+    if path == "compacted":
+        _, counts = np.unique(codes[z], axis=1, return_counts=True)
+        assume((counts == 1).any())
+    return path, ds, order[:ka], order[ka:ka + kb], z
+
+
+def _path_taken(ds, zt):
+    """The counter a cold dataset's one test took, read from its memo."""
+    entry = ds._memo.get(tuple(sorted(zt)))
+    if entry is None:
+        return "planes"
+    return "compacted" if "rows" in entry else (
+        "kernel" if "inverse" not in entry else "compacted, none dropped")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_swapped_tests())
+def test_swapped_sides_give_identical_results(case):
+    # G² is symmetric in its sides, so a test and its swap have one key and
+    # give identical bits on every counter, from a cold dataset or a warm
+    # one, through set_ci and g2_test alike.
+    path, ds, a, b, z = case
+    cold = _cold(ds)
+    got = set_ci(cold, a, b, z)
+    assert _path_taken(cold, z) == path
+    assert _counter(ds, a, b, z) == ("planes" if path == "planes"
+                                     else "kernel")
+    assert set_ci(cold, b, a, z) == got
+    assert set_ci(_cold(ds), b, a, z) == got
+    if len(a) == len(b) == 1:
+        assert g2_test(_cold(ds), b[0], a[0], z) == got
+        assert g2_test(ds, a[0], b[0], z) == g2_test(ds, b[0], a[0], z)
 
 
 def test_size_rule_picks_the_counter(monkeypatch):
@@ -927,25 +990,24 @@ def test_nat_tables_score_each_table_as_if_alone(counts):
 
 
 def test_prefetched_result_is_read_by_its_own_test_only():
-    # A result waits in the stash under its whole test, the empty z too,
-    # whichever side was the batch's common one: the swapped test counts
-    # afresh and leaves it waiting, each z's result is read by its own test
-    # only, and the test takes its result out of the stash.
+    # A result waits in the stash under its test's key, the empty z too,
+    # whichever side was the batch's common one: each z's result is read by
+    # its own test only, in either order of the sides, and the test takes
+    # its result out of the stash.
     rng = np.random.default_rng(5)
     ds = build_dataset({f"v{i}": rng.integers(0, 2, 400) for i in range(7)})
     a, b = (0,), (1, 2)
     for common, side, z, other in ((a, b, (3, 4), (3, 5)), (b, a, (), (3,))):
-        cases = [(a, b, z), (a, b, other), (b, a, z)]
-        refs = [set_ci(_cold(ds), *case) for case in cases]
-        assert refs[0].statistic != refs[1].statistic  # a misread would show
-        citest.prefetch(ds, common, [(side, z), (side, other)])
-        assert set(ds._stash) == {(a, b, z), (a, b, other)}
-        assert set_ci(ds, *cases[2]) == refs[2]
-        assert set(ds._stash) == {(a, b, z), (a, b, other)}
-        assert set_ci(ds, *cases[1]) == refs[1]
-        assert set(ds._stash) == {(a, b, z)}
-        assert set_ci(ds, *cases[0]) == refs[0]
-        assert not ds._stash
+        for first in ((a, b), (b, a)):
+            cases = [(*first, other), (*first[::-1], z)]
+            refs = [set_ci(_cold(ds), *case) for case in cases]
+            assert refs[0].statistic != refs[1].statistic  # a misread shows
+            citest.prefetch(ds, common, [(side, z), (side, other)])
+            assert set(ds._stash) == {(a, b, z), (a, b, other)}
+            assert set_ci(ds, *cases[0]) == refs[0]
+            assert set(ds._stash) == {(a, b, z)}
+            assert set_ci(ds, *cases[1]) == refs[1]
+            assert not ds._stash
 
 
 @pytest.mark.parametrize("batch_words", [1, 250, citest._BATCH_WORDS])

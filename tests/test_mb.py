@@ -274,7 +274,7 @@ def test_g2_and_dsep_testers_share_the_tester_protocol(chain_net,
     methods = [{n for n, v in vars(cls).items()
                 if callable(v) and not n.startswith("__")}
                for cls in (CiTester, DsepTester)]
-    assert methods == [{"set_ci", "ci", "set_ci_grid"}, {"set_ci", "_dsep"}]
+    assert methods == [{"set_ci", "ci", "set_ci_grid"}, {"set_ci"}]
     # every search drops its own target: a scope that holds it is the same
     cfg = CiConfig()
     searches = (hiton_pc, hiton_mb, partial(hiton_mb, symmetric=True), iamb)
@@ -291,17 +291,26 @@ def test_g2_and_dsep_testers_share_the_tester_protocol(chain_net,
     ids=["g2", "dsep"])
 def test_testers_reject_malformed_queries_alike(chain_net, make):
     # The oracle rejects what the data tester rejects, with the same message,
-    # and a grid with an empty set raises that error too, not an IndexError.
+    # and a malformed grid raises that error too, not an IndexError, before
+    # the data tester counts any of it: nothing waits in the stash.
     tester = make(chain_net)
     asks = [("nonempty", tester.set_ci, ([], [1])),
             ("disjoint", tester.set_ci, ([0, 1], [1, 2])),
             ("disjoint", tester.set_ci, ([0], [2], [2])),
             ("nonempty", tester.set_ci_grid, ((), [(1,), (2,)], [()])),
-            ("nonempty", tester.set_ci_grid, ((0,), [(), (1,)], [()]))]
+            ("nonempty", tester.set_ci_grid, ((0,), [(), (1,)], [()])),
+            ("disjoint", tester.set_ci_grid, ((0,), [(1,), (2,)], [(0,)])),
+            ("disjoint", tester.set_ci_grid, ((0,), [(1,), (2,)], [(1,)])),
+            ("disjoint", tester.set_ci_grid, ((0,), [(0,), (2,)], [()])),
+            ("disjoint", tester.set_ci_grid, ((0,), [(1, 1), (2,)], [()])),
+            ("disjoint", tester.set_ci_grid, ((0,), [(1,), (2,)], [(2, 2)])),
+            ("disjoint", tester.set_ci_grid, ((0,), [(1,)], [(1,)]))]
     for word, method, args in asks:
         with pytest.raises(ValueError, match=f"sets must be .*{word}"):
             method(*args)
     assert tester.n_tests == 0
+    if isinstance(tester, G2Tester):
+        assert not tester.ds._stash
 
 
 class _PairwiseOracle(CiTester):

@@ -279,6 +279,13 @@ def test_dsep_tester_caches(chain_net):
     # composite interface mirrors the scalar one
     assert tester.set_ci((0,), (2,), (1,)).independent
     assert not tester.set_ci((0, 1), (2,)).independent
+    # like the G² tester, one key per whole query: a swapped query is the
+    # same cache entry and counted test, and a set query is one test, not
+    # one per cross pair
+    assert tester.set_ci([2], [1, 0]) == tester.set_ci((0, 1), (2,))
+    assert list(tester._cache) == [((0,), (2,), (1,)), ((0,), (1,), ()),
+                                   ((0, 1), (2,), ())]
+    assert tester.n_tests == 3
 
 
 def test_random_net_respects_limits():
