@@ -12,16 +12,17 @@ AND-popcounted from stacked bit planes (one per variable and level; a set of
 several variables ANDs its members' planes in :func:`_fold`'s order) by
 :func:`_plane_tables`: a lone test's x against the fold of y and z, and in
 :func:`prefetch` a batch's sides against the folds of a common side with
-each of many z's, the empty one too. Any other table is built in O(n)
-by one ``np.bincount`` of mixed-radix codes (:func:`_nat_kernel`), its
-strata first compacted to the observed ones, in code order, when it has more
-cells than the data has rows, and its one-row strata dropped, their one
-exact +0.0 term each put back in place. Cells are read back in (stratum, x,
-y) order and empty strata add nothing, so every path gives identical bits.
-The dataset keeps the kernel's fold and compaction of the last conditioning
-set, so kernel tests under one set build each once, and a batch's results,
-each table summed alone, in one stash under each test's key until the test
-takes it.
+each of many z's, the empty one too. Any other table is built in O(n) by one
+``np.bincount`` of mixed-radix codes (:func:`_nat_kernel`), a batch's tables
+of one shape under one z by one stacked bincount; strata are first compacted
+to the observed ones, in code order, when a table has more cells than the
+data has rows, and the one-row strata dropped, their one exact +0.0 term
+each put back in place. Cells are read back in (stratum, x, y) order and
+empty strata add nothing, so every path gives identical bits. The dataset
+keeps the kernel's fold and compaction of the last conditioning set, so
+kernel tests under one set build each once, and a batch's results, each
+table summed alone, in one stash under each test's key until the test takes
+it.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ MAX_CELLS_PER_STRATUM = 4096
 # The bit planes are held to it too.
 _MAX_TABLE_CELLS = 1 << 26
 _BATCH_WORDS = 1 << 17  # ANDed plane words per prefetch chunk (1 MiB)
+_STACK_CELLS = 1 << 15  # tables x max(rows, cells) of a kernel stack chunk
 
 
 @dataclass(frozen=True)
@@ -81,19 +83,21 @@ class CiResult:
 
 def _nat_kernel(xcode: np.ndarray, rx: int, ycode: np.ndarray, ry: int,
                 zidx: np.ndarray | None, n_strata: int, rows=None,
-                before=None) -> tuple[float, int]:
-    """:func:`_nat_tables` of one bincount's table, cell ``(x·ry + y)·n_strata
+                before=None) -> list[tuple[float, int]]:
+    """:func:`_nat_tables` of one bincount's tables, cell ``(x·ry + y)·n_strata
     + s``. ``zidx`` is a per-row stratum code below ``n_strata``, or None for
     the empty conditioning set (one stratum). With :func:`_strata`'s filter,
-    only ``rows`` are counted, ``zidx`` being theirs."""
+    only ``rows`` are counted, ``zidx`` being theirs. Codes stacked ``(B,
+    n)``, table b's raised by b·rx·ry in x·ry + y, broadcast to B tables."""
     flat = xcode * ry + ycode
     if rows is not None:
-        flat = flat[rows]
+        flat = flat.take(rows, axis=-1)
     if zidx is not None:
         flat *= n_strata
         flat += zidx
-    return _nat_tables(np.bincount(flat, minlength=rx * ry * n_strata).reshape(
-        1, rx, ry, n_strata), before)[0]
+    shape = (math.prod(flat.shape[:-1]), rx, ry, n_strata)
+    return _nat_tables(np.bincount(flat.ravel(), minlength=math.prod(
+        shape)).reshape(shape), before)
 
 
 def _nat_tables(counts: np.ndarray,
@@ -101,9 +105,9 @@ def _nat_tables(counts: np.ndarray,
     """Sum of O·ln(O·N_s / (row·col)) over the strata, and the adjusted dof,
     of each int64 ``(rx, ry, n_strata)`` table in a ``(B, ...)`` stack. The
     terms are made for the whole stack; each table's nonzero ones, in
-    (stratum, x, y) order, are summed alone, the same in any stack. A stack
-    of one may pass ``before``, a +0.0 term per dropped one-row stratum:
-    ``before[s]`` ahead of stratum s, ``before[-1]`` in all."""
+    (stratum, x, y) order, are summed alone, the same in any stack. Each
+    table gets ``before``'s +0.0 terms of dropped one-row strata back at its
+    own offset: ``before[s]`` ahead of stratum s, ``before[-1]`` in all."""
     rows, cols = np.add.reduce(counts, 2), np.add.reduce(counts, 1)
     # Empty strata divide by 1, not 0: they have no nonzero cell to read.
     expected = (rows[:, :, None] * cols[:, None] / np.maximum(
@@ -112,12 +116,14 @@ def _nat_tables(counts: np.ndarray,
     nonzero = counts.nonzero()[0]
     o = counts[nonzero]  # int64 counts convert exactly inside the float ops
     terms = o * np.log(o / expected.ravel()[nonzero])
+    n, zeros = len(rows), 0 if before is None else int(before[-1])
     if before is not None:
-        stratum = nonzero // (rows.shape[1] * cols.shape[1])
-        terms, kept = np.zeros(len(o) + before[-1]), terms
-        terms[np.arange(len(o)) + before[stratum]] = kept
-    ends = [len(terms)] if len(rows) == 1 else nonzero.searchsorted(
-        np.arange(1, len(rows) + 1) * (counts.size // len(rows))).tolist()
+        stratum = nonzero // (rows.shape[1] * cols.shape[1])  # of the stack
+        shift = (before[:-1] + np.arange(n)[:, None] * zeros).ravel()
+        terms, kept = np.zeros(len(o) + n * zeros), terms
+        terms[np.arange(len(o)) + shift[stratum]] = kept
+    ends = [len(terms)] if n == 1 else (nonzero.searchsorted(np.arange(
+        1, n + 1) * (counts.size // n)) + np.arange(1, n + 1) * zeros).tolist()
     # Per-stratum levels with nonzero marginals; one clip zeroes empty strata.
     lx, ly = (np.add.reduce(np.minimum(m, 1), 1) for m in (rows, cols))
     dofs = np.vecdot(np.maximum(lx - 1, 0), ly - 1).tolist()
@@ -175,7 +181,7 @@ def _strata(ds: Dataset, zt: tuple[VariableId, ...],
     if min(n_states, ds.n_rows) * cells > _MAX_TABLE_CELLS:
         return None
     if code is None or n_states * cells <= ds.n_rows:
-        return code, n_states
+        return code, n_states, None, None
     if "inverse" not in entry:
         _, inverse, sizes = np.unique(code, return_inverse=True,
                                       return_counts=True)
@@ -240,13 +246,16 @@ def _on_planes(ds: Dataset, cells: int) -> bool:
 
 
 def prefetch(ds: Dataset, xt: tuple, tests) -> None:
-    """Count and score ``xt ⊥ s | z`` for the (s, z) pairs of ``tests`` that
-    the planes count, s and z sorted, z maybe empty. Each side shape's planes
-    are stacked once and ANDed with the stacked heads ``fold(xt + z)`` of a
-    chunk of z's of one state count: one :func:`_plane_tables` call on at
+    """Count and score ``xt ⊥ s | z`` for the (s, z) pairs of ``tests``, s
+    and z sorted, z maybe empty, each table in the order ``(min(xt, s),
+    max(xt, s))``. Tables the planes count: each side shape's planes are
+    stacked once and ANDed with the stacked heads ``fold(xt + z)`` of a
+    chunk of z's of one state count, one :func:`_plane_tables` call on at
     most _BATCH_WORDS words (z's chunked so that one side fits, then sides
-    so that the chunk does) and one :func:`_nat_tables` call, each table in
-    the order ``(min(xt, s), max(xt, s))``. Each asked (nat, dof) waits in
+    so that the chunk does) and one :func:`_nat_tables` call. The others,
+    bar pairs past MAX_CELLS_PER_STRATUM: per z, side shape and orientation,
+    one :func:`_strata` call and one :func:`_nat_kernel` call on a stack of
+    the sides' codes per _STACK_CELLS. Each asked (nat, dof) waits in
     ``ds._stash`` under its :func:`_set_key` for :func:`_nat` to take it."""
     rx, n_words = math.prod(map(ds.arity, xt)), -(-ds.n_rows // 64)
     sides, zs, wanted, planes = {}, {}, dict.fromkeys(tests), _planes(ds)
@@ -279,6 +288,24 @@ def prefetch(ds: Dataset, xt: tuple, tests) -> None:
             for (s, zt), res in zip(product(part, chunk), _nat_tables(tables)):
                 if (s, zt) in wanted:  # stashed by _set_key's rule, inline
                     ds._stash[(xt, s, zt) if xt < s else (s, xt, zt)] = res
+    for nz, group in zs.items():  # z-major: each z's strata built once
+        left = [(rs, after, [s for s in members if (xt < s) == after])
+                for (rs, _), members in sides.items()
+                if not _on_planes(ds, rx * rs * nz) for after in (False, True)]
+        for zt, (rs, after, members) in product(group, left):
+            part = [s for s in members if (s, zt) in wanted and (
+                len(xt + s) < 3 or rx * rs <= MAX_CELLS_PER_STRATUM)]
+            strata = part and _strata(ds, zt, rx * rs)
+            if not strata:  # nothing asked, or past _MAX_TABLE_CELLS
+                continue
+            xc, unit = _fold(ds, xt)[0], rs * (rx if after else 1)
+            step = _STACK_CELLS // max(ds.n_rows, rx * rs * strata[1]) or 1
+            for chunk in (part[j:j + step] for j in range(0, len(part), step)):
+                codes = np.stack([_fold(ds, s)[0] for s in chunk])
+                codes += np.arange(len(chunk))[:, None] * unit  # table offsets
+                pair = (xc, rx, codes, rs) if after else (codes, rs, xc, rx)
+                for s, res in zip(chunk, _nat_kernel(*pair, *strata)):
+                    ds._stash[(xt, s, zt) if after else (s, xt, zt)] = res
 
 
 def _set_key(xs, ys, z) -> tuple:
@@ -329,7 +356,7 @@ def _nat(ds: Dataset, xt: tuple, yt: tuple,
     if len(xt + yt) > 2 and rx * ry > MAX_CELLS_PER_STRATUM:
         return None
     strata = _strata(ds, zt, rx * ry)
-    return strata and _nat_kernel(xcode, rx, ycode, ry, *strata)
+    return strata and _nat_kernel(xcode, rx, ycode, ry, *strata)[0]
 
 
 def g2_test(ds: Dataset, x: VariableId, y: VariableId, z=(),

@@ -224,24 +224,19 @@ def iamb(tester: CiTester, target: VariableId, candidates,
     """Incremental-association Markov boundary baseline.
 
     Grows by the strongest dependent variable given the current boundary
-    (ties to the lowest id), then shrinks members that a boundary-minus-one
-    conditioning renders independent. Conditioning sets are not capped; the
-    full-boundary tests are what make the algorithm sample-hungry.
+    (ties to the lowest id), one ``set_ci_grid`` a step, then shrinks, one
+    test at a time, members that a boundary-minus-one conditioning renders
+    independent. Conditioning sets are not capped; the full-boundary tests
+    are what make the algorithm sample-hungry.
     """
     pool = sorted(set(candidates) - {target})
     mb: list = []
     while True:
-        best = None
-        cond = tuple(sorted(mb))
-        for x in pool:
-            if x in mb:
-                continue
-            r = tester.ci(x, target, cond)
-            if r.independent:
-                continue
-            key = (-r.statistic, x)
-            if best is None or key < best:
-                best = key
+        rest = [x for x in pool if x not in mb]
+        grid, = tester.set_ci_grid((target,), [(x,) for x in rest],
+                                   [sorted(mb)])
+        best = min(((-r.statistic, x) for x, r in zip(rest, grid)
+                    if not r.independent), default=None)
         if best is None:
             break
         mb.append(best[1])

@@ -4,6 +4,7 @@ import math
 import weakref
 from collections import Counter
 from functools import partial
+from itertools import product
 
 import numpy as np
 import pytest
@@ -162,11 +163,11 @@ def test_kernel_dense_and_compacted_strata_are_bit_identical():
         zidx, n_strata = _fold(ds, zt)
         raw = np.zeros(n, dtype=np.int64) if zidx is None else zidx
         observed, compact = np.unique(raw, return_inverse=True)
-        dense = _nat_kernel(xcode, rx, ycode, ry, zidx, n_strata)
-        ref = _nat_kernel(xcode, rx, ycode, ry, compact, len(observed))
+        dense, = _nat_kernel(xcode, rx, ycode, ry, zidx, n_strata)
+        ref, = _nat_kernel(xcode, rx, ycode, ry, compact, len(observed))
         strata = _strata(ds, zt, rx * ry)
         assert (strata[1] < n_strata) == (k == 4)
-        assert _nat_kernel(xcode, rx, ycode, ry, *strata) == dense == ref
+        assert _nat_kernel(xcode, rx, ycode, ry, *strata) == [dense] == [ref]
         assert dense[1] > 0
 
 
@@ -219,7 +220,7 @@ def test_kernel_matches_stratum_major_reference(n, k, arities, seed):
     xcode, rx = _fold(ds, (0,))
     ycode, ry = _fold(ds, (1,))
     zt = tuple(range(2, 2 + k))
-    got = _nat_kernel(xcode, rx, ycode, ry, *_strata(ds, zt, rx * ry))
+    got, = _nat_kernel(xcode, rx, ycode, ry, *_strata(ds, zt, rx * ry))
     assert got == _stratum_major_reference(xcode, rx, ycode, ry,
                                            *_fold(ds, zt))
 
@@ -228,7 +229,7 @@ def _pruned_and_reference(ds, xt, yt, zt):
     """``_nat_kernel`` through ``_strata``'s one-row-strata filter, asserted
     to engage, and the stratum-major reference on the whole table."""
     (xcode, rx), (ycode, ry) = _fold(ds, xt), _fold(ds, yt)
-    got = _nat_kernel(xcode, rx, ycode, ry, *_strata(ds, zt, rx * ry))
+    got, = _nat_kernel(xcode, rx, ycode, ry, *_strata(ds, zt, rx * ry))
     assert {"rows", "before"} <= ds._memo[zt].keys()
     return got, _stratum_major_reference(xcode, rx, ycode, ry, *_fold(ds, zt))
 
@@ -655,7 +656,7 @@ def _kernel_only(ds, xt, yt, zt=()):
                                                 (xt, yt, zt))
     flat = (xcode * ry + ycode) * nz + (0 if zcode is None else zcode)
     counts = np.bincount(flat, minlength=rx * ry * nz).reshape(rx, ry, nz)
-    nat_dof = _nat_kernel(xcode, rx, ycode, ry, zcode, nz)
+    nat_dof, = _nat_kernel(xcode, rx, ycode, ry, zcode, nz)
     return counts, _result_from_kernel(*nat_dof, ds.n_rows, CiConfig())
 
 
@@ -982,11 +983,17 @@ def _table_stacks(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_table_stacks())
-def test_nat_tables_score_each_table_as_if_alone(counts):
+@given(_table_stacks(), st.integers(0, 2**32 - 1))
+def test_nat_tables_score_each_table_as_if_alone(counts, seed):
     got = citest._nat_tables(counts)
     assert got == [_nat_table_reference(table) for table in counts]
     assert got == [citest._nat_tables(table[None])[0] for table in counts]
+    # A kernel stack's +0.0 terms of dropped one-row strata, 0-2 ahead of
+    # each stratum and after the last: every table sums as it would alone.
+    gaps = np.random.default_rng(seed).integers(0, 3, counts.shape[3] + 1)
+    before = np.cumsum(gaps)
+    assert citest._nat_tables(counts, before) == [
+        citest._nat_tables(table[None], before)[0] for table in counts]
 
 
 def test_prefetched_result_is_read_by_its_own_test_only():
@@ -1033,3 +1040,71 @@ def test_prefetch_in_chunks_answers_like_lone_tests(monkeypatch, batch_words):
     assert set(ds._stash) == set(tests)
     assert [set_ci(ds, *test) for test in tests] == refs
     assert not ds._stash
+
+
+@st.composite
+def _kernel_grids(draw):
+    # A grid xt ⊥ side | z on 2-40 rows of 3-5-level columns, one word a
+    # plane, so most tables have more cells than rows and miss the planes'
+    # size rule, the empty z's too. Sides of one or two variables fall on
+    # both sides of xt in key order; z's of 1-3 variables repeat a few row
+    # patterns, so their strata are compacted with one-row strata dropped.
+    # The composite cap and the stack budget are drawn small enough to bite.
+    n = draw(st.integers(2, 40))
+    arities = draw(st.lists(st.integers(3, 5), min_size=9, max_size=9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 6))
+    patterns = rng.integers(0, 3, (9, m))
+    share = draw(st.sampled_from((0.0, 0.5, 0.9)))
+    cols = [np.where(rng.random(n) < share, patterns[i, rng.integers(0, m, n)],
+                     rng.integers(0, a, n)) for i, a in enumerate(arities)]
+    ds = build_dataset({f"v{i}": c for i, c in enumerate(cols)},
+                       arities=arities)
+    order = draw(st.permutations(range(9)))
+    kx = draw(st.integers(1, 2))
+    xt, pool, zpool = tuple(sorted(order[:kx])), order[kx:6], order[6:]
+    sides = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1,
+                                   max_size=2, unique=True).map(
+        lambda s: tuple(sorted(s))), min_size=1, max_size=8, unique=True))
+    zs = [()] + draw(st.lists(st.lists(st.sampled_from(zpool), min_size=1,
+                                       max_size=3, unique=True).map(
+        lambda z: tuple(sorted(z))), max_size=3, unique=True))
+    cap = draw(st.sampled_from((16, MAX_CELLS_PER_STRATUM)))
+    budget = draw(st.sampled_from((1, 40, citest._STACK_CELLS, 1 << 40)))
+    return ds, xt, sides, zs, cap, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_grids())
+def test_kernel_stacks_equal_lone_tests(case):
+    # A grid answers each test with the whole CiResult of a lone set_ci on
+    # a cold copy. Every table past the planes' size rule is counted once,
+    # in a kernel stack of its z, side shape and orientation (one stack
+    # each on an unbounded budget, one table a stack on a budget of 1), and
+    # a composite pair past the cap is left to the lone path's answer.
+    ds, xt, sides, zs, cap, budget = case
+    rx, stacks = math.prod(map(ds.arity, xt)), []
+
+    def spy(*args, _kernel=citest._nat_kernel):
+        tables = _kernel(*args)
+        stacks.append(len(tables))
+        return tables
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(citest, "MAX_CELLS_PER_STRATUM", cap)
+        mp.setattr(citest, "_STACK_CELLS", budget)
+        refs = [[set_ci(_cold(ds), xt, s, z) for s in sides] for z in zs]
+        mp.setattr(citest, "_nat_kernel", spy)
+        assert G2Tester(ds, CiConfig()).set_ci_grid(xt, sides, zs) == refs
+    assert not ds._stash
+    groups = Counter()
+    for z, s in product(zs, sides):
+        rs = math.prod(map(ds.arity, s))
+        if (_counter(ds, xt, s, z) == "kernel"
+                and (len(xt + s) < 3 or rx * rs <= cap)):
+            groups[z, rs, xt < s] += 1
+    assert sum(stacks) == groups.total()
+    if budget == 1:
+        assert set(stacks) <= {1}
+    elif budget == 1 << 40:
+        assert sorted(stacks) == sorted(groups.values())

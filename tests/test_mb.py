@@ -174,6 +174,51 @@ def test_iamb_matches_graph_on_random_nets():
                         cfg) == graphical_mb(net, t)
 
 
+class _OneByOneGrid(G2Tester):
+    """A G2Tester that answers a grid through the protocol's default loop."""
+
+    set_ci_grid = CiTester.set_ci_grid
+
+
+def test_iamb_grid_grow_step_equals_one_by_one_tests(monkeypatch):
+    # IAMB asks each grow step as one grid. On generated nets whose
+    # boundaries pass three members, the grid's planes and kernel stacks
+    # give every target the boundary, the distinct test count and the very
+    # results of the same tests asked one at a time.
+    stacks = []
+
+    def spy(*args, _kernel=citest._nat_kernel):
+        tables = _kernel(*args)
+        stacks.append(len(tables))
+        return tables
+
+    monkeypatch.setattr(citest, "_nat_kernel", spy)
+    for seed in range(3):
+        net, _ = generate(GenConfig(2, 20, p_c=0.5, p_m=1.0, seed=seed))
+        ds = sample(net, 800, seed)
+        grid = G2Tester(ds, CiConfig())
+        alone = _OneByOneGrid(dataclasses.replace(ds), CiConfig())
+        sizes = []
+        for t in range(ds.n_vars):
+            got = iamb(grid, t, range(ds.n_vars), CiConfig())
+            assert got == iamb(alone, t, range(ds.n_vars), CiConfig())
+            assert grid.n_tests == alone.n_tests
+            sizes.append(len(got))
+        assert max(sizes) > 3
+        assert grid._cache == alone._cache
+        assert not ds._stash
+    assert max(stacks) > 1
+
+
+def test_iamb_on_the_chain_oracle(chain_net):
+    # The oracle answers a grid one test at a time: same boundaries, and
+    # the same distinct queries, as before the grow step was one grid.
+    for t, (mb, n_tests) in enumerate([({1}, 3), ({0, 2}, 4), ({1}, 4)]):
+        tester = DsepTester(chain_net)
+        assert iamb(tester, t, range(3), CiConfig()) == mb
+        assert tester.n_tests == n_tests
+
+
 def test_g2_tester_caches():
     rng = np.random.default_rng(0)
     from conftest import build_dataset
