@@ -53,7 +53,7 @@ def main():
     for target in range(NET.n_nodes):
         others = set(range(NET.n_nodes)) - {target}
         from_data = hiton_mb(tester, target, others, cfg)
-        oracle = hiton_mb(DsepTester(NET, cfg), target, others, cfg,
+        oracle = hiton_mb(DsepTester(NET), target, others, cfg,
                           symmetric=True)
         truth = graphical_mb(NET, target)
         agree = from_data.mb == oracle.mb == truth

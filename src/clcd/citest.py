@@ -10,19 +10,19 @@ information in bits is ``set_ci(...).statistic / (2·n·ln 2)``.
 A table whose cells times the words of one bit plane fit in the rows is
 AND-popcounted from stacked bit planes (one per variable and level; a set of
 several variables ANDs its members' planes in :func:`_fold`'s order) by
-:func:`_plane_tables`: a lone test's x against the fold of y and z, and in
-:func:`prefetch` a batch's sides against the folds of a common side with
-each of many z's, the empty one too. Any other table is built in O(n) by one
-``np.bincount`` of mixed-radix codes (:func:`_nat_kernel`), a batch's tables
-of one shape under one z by one stacked bincount; strata are first compacted
-to the observed ones, in code order, when a table has more cells than the
-data has rows, and the one-row strata dropped, their one exact +0.0 term
-each put back in place. Cells are read back in (stratum, x, y) order and
-empty strata add nothing, so every path gives identical bits. The dataset
-keeps the kernel's fold and compaction of the last conditioning set, so
-kernel tests under one set build each once, and a batch's results, each
-table summed alone, in one stash under each test's key until the test takes
-it.
+:func:`_plane_tables`, a lone test's x against the fold of y and z. Any other
+table is built in O(n) by one ``np.bincount`` of mixed-radix codes
+(:func:`_nat_kernel`); strata are first compacted to the observed ones, in code
+order, when a table has more cells than the data has rows, and the one-row
+strata dropped, their one exact +0.0 term each put back in place. Cells are
+read back in (stratum, x, y) order and empty strata add nothing, so every path
+gives identical bits. The dataset keeps the kernel's fold and compaction of the
+last conditioning set, so kernel tests under one set build each once.
+:func:`prefetch` groups a batch's sides once, by state count and by whether
+they follow its common side. Per group, the planes count the sides against the
+folds of the common side with many z's, the empty one too, and the kernel the
+tables under one z by one stacked bincount. Each table is summed alone; its
+result waits in the dataset's stash under its test's key for the test.
 """
 
 from __future__ import annotations
@@ -248,50 +248,46 @@ def _on_planes(ds: Dataset, cells: int) -> bool:
 def prefetch(ds: Dataset, xt: tuple, tests) -> None:
     """Count and score ``xt ⊥ s | z`` for the (s, z) pairs of ``tests``, s
     and z sorted, z maybe empty, each table in the order ``(min(xt, s),
-    max(xt, s))``. Tables the planes count: each side shape's planes are
-    stacked once and ANDed with the stacked heads ``fold(xt + z)`` of a
-    chunk of z's of one state count, one :func:`_plane_tables` call on at
-    most _BATCH_WORDS words (z's chunked so that one side fits, then sides
-    so that the chunk does) and one :func:`_nat_tables` call. The others,
-    bar pairs past MAX_CELLS_PER_STRATUM: per z, side shape and orientation,
-    one :func:`_strata` call and one :func:`_nat_kernel` call on a stack of
-    the sides' codes per _STACK_CELLS. Each asked (nat, dof) waits in
-    ``ds._stash`` under its :func:`_set_key` for :func:`_nat` to take it."""
+    max(xt, s))``. Both counters take the sides in groups of one state count,
+    all before or all after ``xt``. Planes: a group's planes are stacked once
+    and ANDed with the stacked heads ``fold(xt + z)`` of a chunk of z's of one
+    state count (shared by groups chunked alike), one :func:`_plane_tables`
+    call on at most _BATCH_WORDS words and one :func:`_nat_tables` call.
+    Kernel, bar pairs past MAX_CELLS_PER_STRATUM: per z and group, one
+    :func:`_strata` and one :func:`_nat_kernel` call per _STACK_CELLS of codes.
+    Each asked (nat, dof) waits in ``ds._stash`` under its :func:`_set_key`."""
     rx, n_words = math.prod(map(ds.arity, xt)), -(-ds.n_rows // 64)
     sides, zs, wanted, planes = {}, {}, dict.fromkeys(tests), _planes(ds)
+    last = None  # the z's whose heads are built
     for s in dict.fromkeys(s for s, _ in wanted):
-        rs = math.prod(map(ds.arity, s))  # square: either orientation
-        sides.setdefault((rs, rs == rx or xt < s), []).append(s)
+        sides.setdefault((math.prod(map(ds.arity, s)), xt < s), []).append(s)
     for zt in dict.fromkeys(zt for _, zt in wanted):
         zs.setdefault(math.prod(map(ds.arity, zt)), []).append(zt)
     stacks = {key: np.concatenate([_composite(*planes, s) for s in group])
               for key, group in sides.items()
               if _on_planes(ds, rx * key[0] * min(zs))}
-    for (nz, group), ((rs, sq), stack) in product(zs.items(), stacks.items()):
+    for (nz, group), (key, stack) in product(zs.items(), stacks.items()):
+        (rs, after), members, head_words = key, sides[key], rx * nz * n_words
         if not _on_planes(ds, rx * rs * nz):
             continue
-        members, head_words = sides[rs, sq], rx * nz * n_words
         z_step = min(len(group), max(1, _BATCH_WORDS // (rs * head_words)))
         step = max(1, _BATCH_WORDS // (rs * head_words * z_step))
         for i, j in product(range(0, len(group), z_step),
                             range(0, len(members), step)):
             chunk, part = group[i:i + z_step], members[j:j + step]
-            if not j:  # a new chunk of z's
-                heads = np.concatenate([_composite(*planes, xt + zt)
-                                        for zt in chunk])
+            if chunk != last:  # a new chunk of z's
+                last, heads = chunk, np.concatenate(
+                    [_composite(*planes, xt + zt) for zt in chunk])
             tables = _plane_tables(stack[j * rs:(j + step) * rs], heads, rs,
                                    rx, nz)
-            flip = np.repeat([xt < s for s in part], len(chunk))
-            if flip.any():  # those tables into (xt, s) order
-                tables = (np.where(flip[:, None, None, None], tables.swapaxes(
-                    1, 2), tables) if rs == rx else tables.swapaxes(1, 2))
+            if after:  # into (xt, s) order
+                tables = tables.swapaxes(1, 2)
             for (s, zt), res in zip(product(part, chunk), _nat_tables(tables)):
                 if (s, zt) in wanted:  # stashed by _set_key's rule, inline
-                    ds._stash[(xt, s, zt) if xt < s else (s, xt, zt)] = res
+                    ds._stash[(xt, s, zt) if after else (s, xt, zt)] = res
     for nz, group in zs.items():  # z-major: each z's strata built once
-        left = [(rs, after, [s for s in members if (xt < s) == after])
-                for (rs, _), members in sides.items()
-                if not _on_planes(ds, rx * rs * nz) for after in (False, True)]
+        left = [(rs, after, members) for (rs, after), members in sides.items()
+                if not _on_planes(ds, rx * rs * nz)]
         for zt, (rs, after, members) in product(group, left):
             part = [s for s in members if (s, zt) in wanted and (
                 len(xt + s) < 3 or rx * rs <= MAX_CELLS_PER_STRATUM)]

@@ -19,8 +19,8 @@ class Dataset:
     """Immutable column-oriented table of categorical codes.
 
     ``codes`` has shape (n_vars, n_rows) so a test over (x, y | z) touches
-    only the rows it involves. Codes for variable v lie in [0, arities[v]).
-    ``is_label`` marks target columns; everything else is a feature.
+    only the rows it involves. Codes are whole numbers, variable v's in
+    [0, arities[v]); ``is_label`` marks target columns, the rest features.
     The arrays are the dataset's own read-only copies, so what ``citest``
     derives from them never goes stale. ``citest`` caches the bit planes in
     ``_planes``, the kernel's fold and compaction of the last z in ``_memo``
@@ -38,13 +38,16 @@ class Dataset:
     _planes: list = field(default_factory=list, init=False, repr=False)
     _stash: dict = field(default_factory=dict, init=False, repr=False)
 
+    @np.errstate(invalid="ignore")  # a NaN or inf cast: unequal below
     def __post_init__(self) -> None:
-        codes = self.codes
+        codes, arities = self.codes, np.array(self.arities, dtype=np.int64)
         if not (isinstance(codes, np.ndarray) and codes.dtype == np.int64
                 and codes.flags.c_contiguous and codes.flags.owndata
                 and not codes.flags.writeable):
             codes = np.array(codes, dtype=np.int64, order="C")
-        arities = np.array(self.arities, dtype=np.int64)
+        if not (codes is self.codes or np.array_equal(codes, self.codes)) \
+                or not np.array_equal(arities, self.arities):
+            raise ValueError("codes and arities must be whole numbers")
         is_label = np.array(self.is_label, dtype=bool)
         if codes.ndim != 2:
             raise ValueError("codes must be 2-dimensional (n_vars, n_rows)")
@@ -82,9 +85,6 @@ class Dataset:
     @property
     def features(self) -> tuple[VariableId, ...]:
         return tuple(int(i) for i in np.flatnonzero(~self.is_label))
-
-    def column(self, v: VariableId) -> np.ndarray:
-        return self.codes[v]
 
     def arity(self, v: VariableId) -> int:
         return self.arities.item(v)

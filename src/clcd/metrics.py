@@ -39,7 +39,7 @@ def score_variables(found_common: dict, found_specific: dict, truth) -> dict:
     surface whole classes rather than a single representative.
     """
     found_pool = set().union(*found_common.values())
-    truth_pool = truth.common_pool()
+    truth_pool = set().union(*truth.common_true.values())
     tp_c = len(found_pool & truth_pool)
     common = VariableScores.from_counts(
         tp_c, len(found_pool - truth_pool), len(truth_pool - found_pool))
@@ -153,7 +153,7 @@ def br_nb_train(ds: Dataset, feature_subset) -> BrNbModel:
     for i, t in enumerate(labels):
         if ds.arity(t) != 2:
             raise ValueError("labels must be binary for the probe")
-        y = ds.column(t)
+        y = ds.codes[t]
         c1 = int(y.sum())
         log_prior[i, 1] = math.log((c1 + 1) / (n + 2))
         log_prior[i, 0] = math.log((n - c1 + 1) / (n + 2))
@@ -161,7 +161,7 @@ def br_nb_train(ds: Dataset, feature_subset) -> BrNbModel:
     log_cond = []
     for f in features:
         a = ds.arity(f)
-        col = ds.column(f)
+        col = ds.codes[f]
         table = np.empty((len(labels), 2, a))
         for i in range(len(labels)):
             for yv, mask in ((1, masks[i]), (0, ~masks[i])):
@@ -178,7 +178,7 @@ def br_nb_predict(model: BrNbModel, ds: Dataset):
     k = len(model.labels)
     ll = np.tile(model.log_prior[None, :, :], (n, 1, 1))   # (n, k, 2)
     for f, table in zip(model.features, model.log_cond):
-        codes = ds.column(f)
+        codes = ds.codes[f]
         ll += table[:, :, codes].transpose(2, 0, 1)
     norm = np.logaddexp(ll[:, :, 0], ll[:, :, 1])
     scores = np.exp(ll[:, :, 1] - norm)
@@ -188,7 +188,7 @@ def br_nb_predict(model: BrNbModel, ds: Dataset):
 
 def label_matrix(ds: Dataset) -> np.ndarray:
     """Label codes as an (n_rows, n_labels) matrix in sorted label order."""
-    return np.stack([ds.column(t) for t in sorted(ds.labels)], axis=1)
+    return np.stack([ds.codes[t] for t in sorted(ds.labels)], axis=1)
 
 
 def split_dataset(ds: Dataset, frac: float, seed):

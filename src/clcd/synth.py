@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .citest import CiConfig, CiResult, _set_key, _validate_sets
+from .citest import CiResult, _validate_sets
 from .data import Dataset
 from .mb import CiTester
 
@@ -113,12 +113,6 @@ class GroundTruth:
     equivalence_classes: tuple
     common_true: dict
     specific_true: dict
-
-    def common_pool(self) -> set:
-        pool: set = set()
-        for members in self.common_true.values():
-            pool |= members
-        return pool
 
 
 def children_map(net: BayesNet) -> dict:
@@ -560,22 +554,21 @@ def dsep_oracle(net: BayesNet, x: int, y: int, z=()) -> bool:
 class DsepTester(CiTester):
     """Graphical stand-in for the G² tester: exact, always reliable.
 
-    Like ``G2Tester`` it memoizes whole ``set_ci`` queries under
-    ``citest._set_key`` and counts distinct ones in ``n_tests``. A query
+    Like ``G2Tester`` it memoizes whole ``set_ci`` queries under the key of
+    ``citest._validate_sets`` and counts distinct ones in ``n_tests``. A query
     holds iff every cross pair is d-separated; dependence strength is 1 or 0,
     so ordering heuristics fall back to variable-id tie-breaks.
     """
 
-    def __init__(self, net: BayesNet, cfg: CiConfig = CiConfig()):
+    def __init__(self, net: BayesNet):
         self.net = net
-        self.cfg = cfg
         self.n_tests = 0
         self._cache: dict = {}
 
     def set_ci(self, xs, ys, z=()) -> CiResult:
-        key = _set_key(xs, ys, z)
+        key = _validate_sets(xs, ys, z)
         if key not in self._cache:
-            xt, yt, zt = _validate_sets(xs, ys, z)
+            xt, yt, zt = key
             sep = all(dsep_oracle(self.net, a, b, zt) for a in xt for b in yt)
             self._cache[key] = CiResult(1.0 - sep, 1, float(sep), True, sep)
             self.n_tests += 1

@@ -119,7 +119,7 @@ def test_criterion_03_oracle_exactness():
         if max(sizes) > 6 or max(sizes) == 0:
             continue
         nets += 1
-        tester = DsepTester(net, cfg)
+        tester = DsepTester(net)
         for t in range(n):
             found = hiton_mb(tester, t, set(range(n)) - {t}, cfg,
                              symmetric=True).mb

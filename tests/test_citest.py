@@ -1042,6 +1042,48 @@ def test_prefetch_in_chunks_answers_like_lone_tests(monkeypatch, batch_words):
     assert not ds._stash
 
 
+def test_prefetch_planes_count_each_side_group_once():
+    # x = (v3, v6) has 4 states, so the binary sides and the pairs of binary
+    # columns are square, some before x in key order and some after; v11 and
+    # v12 are ternary. 400 rows are 7 words a plane: a table of up to 57
+    # cells takes the planes, the larger ones under z = (v10, v12) the
+    # kernel. Each test answers like a lone test on a cold copy, and at the
+    # default _BATCH_WORDS the planes count each (z state count, side state
+    # count, orientation) group in one call, square sides of both
+    # orientations apart, and fold x with each z once for all groups.
+    rng = np.random.default_rng(11)
+    cols = {f"v{i}": rng.integers(0, 2, 400) for i in range(11)}
+    ds = build_dataset({**cols, **{f"v{i}": rng.integers(0, 3, 400)
+                                   for i in (11, 12)}})
+    xt = (3, 6)
+    sides = [(0,), (1,), (4,), (5,), (1, 2), (0, 2), (4, 5), (7, 11), (11,)]
+    zs = [(), (8,), (9,), (8, 9), (10, 12)]
+    asked = list(product(sides, zs))
+    tests = [((s, xt) if s < xt else (xt, s)) + (zt,) for s, zt in asked]
+    refs = [set_ci(_cold(ds), *test) for test in tests]
+    calls, folds = [], Counter()
+
+    def spy(stack, heads, rs, rx, nz, _fn=citest._plane_tables):
+        calls.append((nz, rs))
+        return _fn(stack, heads, rs, rx, nz)
+
+    def fold_spy(words, offsets, vs, _fn=citest._composite):
+        folds[vs[len(xt):] if vs[:len(xt)] == xt else "side"] += 1
+        return _fn(words, offsets, vs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(citest, "_plane_tables", spy)
+        mp.setattr(citest, "_composite", fold_spy)
+        citest.prefetch(ds, xt, asked)
+    assert [set_ci(ds, *test) for test in tests] == refs
+    assert not ds._stash
+    groups = {(math.prod(map(ds.arity, z)), math.prod(map(ds.arity, s)),
+               xt < s) for s, z in asked if _counter(ds, xt, s, z) == "planes"}
+    assert Counter(calls) == Counter((nz, rs) for nz, rs, _ in groups)
+    assert Counter(calls)[1, 2] == Counter(calls)[1, 4] == 2  # square sides
+    assert folds == {"side": len(sides), **dict.fromkeys(zs, 1)}
+
+
 @st.composite
 def _kernel_grids(draw):
     # A grid xt ⊥ side | z on 2-40 rows of 3-5-level columns, one word a

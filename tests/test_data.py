@@ -39,6 +39,25 @@ def test_dataset_rejects_bad_shapes():
         build_dataset({"a": [0, 1], "b": [0, 1]}, labels=set())
 
 
+def test_dataset_rejects_codes_and_arities_that_are_not_whole():
+    # A cast to int64 would truncate 0.7 to 0 and 2.7 to 2 without a word;
+    # whole numbers of any dtype still build the same dataset.
+    def make(codes, arities=(2, 2)):
+        return Dataset(codes=codes, arities=arities, is_label=[False, True],
+                       names=("a", "y"))
+
+    for codes, arities in (([[0.7, 1.9, 0.2], [0, 1, 1]], [2.7, 2]),
+                           ([[0.7, 1.9, 0.2], [0, 1, 1]], [2, 2]),
+                           ([[0, 1, 0], [0, 1, 1]], [2.5, 2]),
+                           (np.array([[np.nan, 1, 0], [0, 1, 1]]), [2, 2]),
+                           ([[0, 1, 0], [0, 1, 1]], np.array([np.inf, 2]))):
+        with pytest.raises(ValueError, match="whole numbers"):
+            make(codes, arities)
+    ds = make(np.array([[0.0, 1.0, 0.0], [0, 1, 1]]), np.array([2.0, 2.0]))
+    assert ds.codes.tolist() == [[0, 1, 0], [0, 1, 1]]
+    assert ds.arities.tolist() == [2, 2]
+
+
 def test_dataset_is_immutable():
     ds = build_dataset({"a": [0, 1], "y": [1, 0]}, labels={"y"})
     with pytest.raises(ValueError):
@@ -154,10 +173,10 @@ def test_load_dataset_integer_and_string_columns(tmp_path):
     ds = load_dataset(data, meta)
     assert ds.names == ("x", "color", "y")
     # integer column keeps its codes verbatim; arity covers the max
-    assert ds.column(0).tolist() == [0, 2, 1]
+    assert ds.codes[0].tolist() == [0, 2, 1]
     assert ds.arity(0) == 3
     # string column is coded in first-seen order
-    assert ds.column(1).tolist() == [0, 1, 0]
+    assert ds.codes[1].tolist() == [0, 1, 0]
     assert ds.labels == (2,)
 
 
@@ -197,8 +216,8 @@ def test_load_dataset_roundtrip_codes(tmp_path):
     data = _write(tmp_path, "d.csv", "\n".join(rows) + "\n")
     meta = _write(tmp_path, "m.json", META)
     ds = load_dataset(data, meta)
-    assert ds.column(0).tolist() == a.tolist()
-    assert ds.column(2).tolist() == y.tolist()
+    assert ds.codes[0].tolist() == a.tolist()
+    assert ds.codes[2].tolist() == y.tolist()
 
 
 PLAIN_CELLS = [str(i) for i in range(10)] + ["10", "12", "305"]

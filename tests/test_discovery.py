@@ -218,9 +218,8 @@ def test_clcd_workers_keep_the_given_tester():
     # The d-separation oracle must answer every phase whatever ``workers`` is.
     net, _ = generate(GenConfig(3, 25, p_m=1.0, seed=3))
     ds = sample(net, 400, 0)
-    cfg = CiConfig()
-    serial = clcd(ds, tester=DsepTester(net, cfg), workers=1)
-    parallel = clcd(ds, tester=DsepTester(net, cfg), workers=2)
+    serial = clcd(ds, tester=DsepTester(net), workers=1)
+    parallel = clcd(ds, tester=DsepTester(net), workers=2)
     assert serial.ccv == parallel.ccv
     assert serial.tcv == parallel.tcv
     for t in serial.structures:

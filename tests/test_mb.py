@@ -24,7 +24,7 @@ def _scope(net, target):
 
 def test_hiton_pc_chain_oracle(chain_net):
     cfg = CiConfig(max_cond_size=3)
-    tester = DsepTester(chain_net, cfg)
+    tester = DsepTester(chain_net)
     pc, seps = hiton_pc(tester, 1, [0, 2], cfg)
     assert pc == {0, 2}
     pc2, seps2 = hiton_pc(tester, 2, [0, 1], cfg)
@@ -34,7 +34,7 @@ def test_hiton_pc_chain_oracle(chain_net):
 
 def test_hiton_mb_collider_oracle(collider_net):
     cfg = CiConfig(max_cond_size=3)
-    tester = DsepTester(collider_net, cfg)
+    tester = DsepTester(collider_net)
     out = hiton_mb(tester, 0, [1, 2], cfg)
     assert out.pc == {2}
     assert out.spouses == {1: {2}}
@@ -61,7 +61,7 @@ def test_oracle_mb_matches_graph_on_random_nets():
     for _ in range(30):
         net = random_net(int(rng.integers(4, 9)), 0.3, rng,
                          label_nodes=(0,))
-        tester = DsepTester(net, cfg)
+        tester = DsepTester(net)
         for t in range(net.n_nodes):
             out = hiton_mb(tester, t, _scope(net, t), cfg, symmetric=True)
             assert out.mb == graphical_mb(net, t), (
@@ -73,7 +73,7 @@ def test_sepsets_actually_separate():
     cfg = CiConfig(max_cond_size=8)
     rng = np.random.default_rng(3)
     net = random_net(8, 0.35, rng, label_nodes=(0,))
-    tester = DsepTester(net, cfg)
+    tester = DsepTester(net)
     for t in range(net.n_nodes):
         _, seps = hiton_pc(tester, t, _scope(net, t), cfg)
         for x, sep in seps.items():
@@ -156,7 +156,7 @@ def test_symmetric_mode_drops_one_sided_member():
 
 def test_iamb_oracle_and_sampled(collider_net):
     cfg = CiConfig(max_cond_size=3)
-    tester = DsepTester(collider_net, cfg)
+    tester = DsepTester(collider_net)
     assert iamb(tester, 0, [1, 2], cfg) == {1, 2}
     assert iamb(tester, 2, [0, 1], cfg) == {0, 1}
     ds = sample(collider_net, 3000, seed=4)
@@ -168,7 +168,7 @@ def test_iamb_matches_graph_on_random_nets():
     rng = np.random.default_rng(11)
     for _ in range(15):
         net = random_net(int(rng.integers(4, 8)), 0.3, rng, label_nodes=(0,))
-        tester = DsepTester(net, cfg)
+        tester = DsepTester(net)
         for t in range(net.n_nodes):
             assert iamb(tester, t, _scope(net, t),
                         cfg) == graphical_mb(net, t)
@@ -325,7 +325,7 @@ def test_g2_and_dsep_testers_share_the_tester_protocol(chain_net,
     searches = (hiton_pc, hiton_mb, partial(hiton_mb, symmetric=True), iamb)
     for net in (chain_net, collider_net):
         for tester in (G2Tester(sample(net, 2000, seed=3), cfg),
-                       DsepTester(net, cfg)):
+                       DsepTester(net)):
             for t, search in itertools.product(range(3), searches):
                 assert (search(tester, t, range(3), cfg)
                         == search(tester, t, _scope(net, t), cfg))

@@ -174,7 +174,7 @@ def test_clcd_fs_recovers_planted_common():
     net, truth = generate(cfg)
     ds = sample(net, 8000, seed=21)
     res = clcd_fs(ds)
-    want = truth.common_pool()
+    want = set().union(*truth.common_true.values())
     got = set().union(*(c.features for c in res.common)) if res.common else set()
     assert want, "sharing at prob 1 must create a common pool"
     missing = want - got

@@ -141,7 +141,7 @@ def test_phase2_and_delabel_match_private_copies_under_oracle(max_z):
         net = random_net(n, float(rng.uniform(0.25, 0.45)), rng,
                          max_parents=3, label_nodes=label_nodes)
         ds = sample(net, 20, seed=int(rng.integers(1 << 31)))
-        _assert_same_as_reference(lambda: DsepTester(net, cfg), ds,
+        _assert_same_as_reference(lambda: DsepTester(net), ds,
                                   sorted(label_nodes), cfg, max_z)
 
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clcd.citest import CiConfig
 from clcd.synth import (
     BayesNet,
     DsepTester,
@@ -189,7 +188,7 @@ def test_generate_structure_and_truth():
                     v in cls and cls & base for cls in truth.equivalence_classes)
 
     # common/specific partition the union boundary minus labels
-    pool = truth.common_pool()
+    pool = set().union(*truth.common_true.values())
     own = set().union(*truth.specific_true.values())
     assert not pool & own
     assert not pool & set(net.labels)
@@ -269,7 +268,7 @@ def test_generate_plants_copies_as_last_leaves(n_labels, n_features, p_c,
 
 
 def test_dsep_tester_caches(chain_net):
-    tester = DsepTester(chain_net, CiConfig())
+    tester = DsepTester(chain_net)
     r1 = tester.ci(0, 2, (1,))
     assert r1.independent
     assert r1.reliable
